@@ -15,6 +15,7 @@
 mod layers;
 mod load;
 mod plan;
+mod probe;
 mod setup;
 mod stats;
 
@@ -25,6 +26,7 @@ use poe_cli::route::{RouteConfig, RouteServer};
 use poe_cli::serve::{ServeConfig, Server};
 use poe_core::service::QueryService;
 use poe_data::{ClassHierarchy, SplitDataset};
+use probe::Probe;
 use setup::Phase;
 use stats::{median, Metrics};
 use std::net::{SocketAddr, TcpListener};
@@ -36,7 +38,7 @@ use std::time::{Duration, Instant};
 /// Set-ups per run; `setup_s` is their median. A serving workload serves
 /// the first and repeats the rest after its load, so the median spans the
 /// whole run.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 9;
 /// Training epochs of the serving workloads' pool.
 const SERVE_EPOCHS: usize = 4;
 /// Training epochs of the preprocess workload's phase.
@@ -60,7 +62,7 @@ const REPLAY_LINES: usize = 1000;
 const INFO_PROBES: usize = 300;
 /// Share of a `preprocess` run spent in the preprocessing loop; the rest
 /// serves the pool it built.
-const PREPROCESS_SHARE: f64 = 0.5;
+const PREPROCESS_SHARE: f64 = 0.6;
 /// Floors on the mean composite accuracy.
 const ACCURACY_FLOOR_BALANCED: f64 = 0.6;
 const ACCURACY_FLOOR_TINY: f64 = 0.1;
@@ -161,6 +163,7 @@ fn main() -> ExitCode {
         out.failed,
         stats::ratio(out.failed as f64, out.attempted as f64)
     );
+    println!("{}", out.machine);
     for (name, value, unit) in out.metrics.iter() {
         eprintln!("{name:<32} {value:>14.4} {unit}");
     }
@@ -242,6 +245,7 @@ struct Outcome {
     attempted: u64,
     failed: u64,
     problems: Vec<String>,
+    machine: String,
 }
 
 /// Peak resident set of this process so far, in MiB.
@@ -474,30 +478,77 @@ fn check_answers(samples: &[&[Sample]], inp: &Inputs, dir: &Path) -> Result<(), 
     Ok(())
 }
 
-/// Set-up timings collected over a run.
-#[derive(Default)]
+/// Set-up timings collected over a run. Each timed repetition runs between
+/// two machine-speed probes; `setup_s` and `preprocess_s` hold its time
+/// divided by the slowdown they saw (see `probe.rs`).
 struct Setups {
+    probe: Probe,
     setup_s: Vec<f64>,
+    preprocess_s: Vec<f64>,
+    /// Wall times, for the `# machine` line.
+    setup_wall_s: Vec<f64>,
+    preprocess_wall_s: Vec<f64>,
+    slowdowns: Vec<f64>,
     phases: Vec<Phase>,
     open_ms: Vec<f64>,
 }
 
 impl Setups {
+    fn new() -> Setups {
+        Setups {
+            probe: Probe::new(),
+            setup_s: Vec::new(),
+            preprocess_s: Vec::new(),
+            setup_wall_s: Vec::new(),
+            preprocess_wall_s: Vec::new(),
+            slowdowns: Vec::new(),
+            phases: Vec::new(),
+            open_ms: Vec::new(),
+        }
+    }
+
+    fn push_setup(&mut self, secs: f64, slowdown: f64) {
+        self.setup_s.push(secs / slowdown);
+        self.setup_wall_s.push(secs);
+        self.slowdowns.push(slowdown);
+    }
+
+    fn push_phase(&mut self, phase: Phase, slowdown: f64) {
+        self.preprocess_s.push(phase.preprocess_s / slowdown);
+        self.preprocess_wall_s.push(phase.preprocess_s);
+        self.phases.push(phase);
+    }
+
     /// One serving set-up: dataset → preprocess → save → open, into `dir`.
     fn serving(
         &mut self,
         dir: &Path,
         traced: bool,
     ) -> Result<(SplitDataset, ClassHierarchy), String> {
-        let t = Instant::now();
-        let (split, h) = setup::balanced_12x3(DATASET_SEED);
-        let phase =
-            setup::preprocess_and_save(&split, &h, SERVE_EPOCHS, DATASET_SEED, dir, traced)?;
-        let (_, _, ms) = setup::open(dir, 0)?;
-        self.setup_s.push(t.elapsed().as_secs_f64());
-        self.phases.push(phase);
+        let (done, secs, slowdown) = self.probe.around(|| -> Result<_, String> {
+            let (split, h) = setup::balanced_12x3(DATASET_SEED);
+            let phase =
+                setup::preprocess_and_save(&split, &h, SERVE_EPOCHS, DATASET_SEED, dir, traced)?;
+            let (_, _, ms) = setup::open(dir, 0)?;
+            Ok((split, h, phase, ms))
+        });
+        let (split, h, phase, ms) = done?;
+        self.push_setup(secs, slowdown);
+        self.push_phase(phase, slowdown);
         self.open_ms.push(ms);
         Ok((split, h))
+    }
+
+    /// The `# machine` line: the probe's reference, the median slowdown,
+    /// and the wall-time medians behind `setup_s` and `preprocess_s`.
+    fn machine_line(&self) -> String {
+        format!(
+            "# machine probe_reference_ms={} slowdown={:.4} setup_wall_s={:.4} preprocess_wall_s={:.4}",
+            probe::REFERENCE_MS,
+            median(&self.slowdowns),
+            median(&self.setup_wall_s),
+            median(&self.preprocess_wall_s),
+        )
     }
 }
 
@@ -517,17 +568,20 @@ fn preprocess_loop(
     let mut rep = 0;
     while rep < 2 || Instant::now() < until {
         let dir = work.join(format!("pool-{rep}"));
-        let t = Instant::now();
-        let phase =
-            setup::preprocess_and_save(split, h, PREPROCESS_EPOCHS, DATASET_SEED, &dir, traced)?;
-        let (start, dur) = (t.duration_since(spans.epoch()), t.elapsed());
+        let (done, secs, slowdown) = s.probe.around(|| {
+            let t = Instant::now();
+            let phase =
+                setup::preprocess_and_save(split, h, PREPROCESS_EPOCHS, DATASET_SEED, &dir, traced);
+            (t, phase)
+        });
+        let (t, phase) = done;
         spans.add(
             loop_span,
             "preprocess.rep",
-            start.as_nanos() as u64,
-            dur.as_nanos() as u64,
+            t.duration_since(spans.epoch()).as_nanos() as u64,
+            (secs * 1e9) as u64,
         );
-        s.phases.push(phase);
+        s.push_phase(phase?, slowdown);
         if rep > 0 {
             let _ = std::fs::remove_dir_all(work.join(format!("pool-{}", rep - 1)));
         }
@@ -546,16 +600,16 @@ fn run(args: &Args, work: &Path) -> Result<Outcome, String> {
     let mut spans = Spans::new(epoch);
     let w = args.workload;
     let mut problems = Vec::new();
-    let mut setups = Setups::default();
+    let mut setups = Setups::new();
 
     // Set-up (and, for `preprocess`, the measured phase), then the pool the
     // serving phase serves.
     let (inputs, dir, serve_seconds, warmup, accuracy_floor) = if w == Workload::Preprocess {
         let mut data = None;
         for _ in 0..SETUP_REPS {
-            let t = Instant::now();
-            data = Some(setup::tiny_imagenet(DATASET_SEED));
-            setups.setup_s.push(t.elapsed().as_secs_f64());
+            let (d, secs, slowdown) = setups.probe.around(|| setup::tiny_imagenet(DATASET_SEED));
+            data = Some(d);
+            setups.push_setup(secs, slowdown);
         }
         let (split, h) = data.expect("at least one set-up");
         let until = Instant::now() + Duration::from_secs_f64(args.seconds * PREPROCESS_SHARE);
@@ -646,8 +700,7 @@ fn run(args: &Args, work: &Path) -> Result<Outcome, String> {
             m.put("throughput_rps", ok / u.seconds, "1/s");
             m.put("setup_s", median(&setups.setup_s), "s");
             m.put("peak_rss_mb", served.peak_rss_mb, "MiB");
-            let pre: Vec<f64> = setups.phases.iter().map(|p| p.preprocess_s).collect();
-            m.put("preprocess_s", median(&pre), "s");
+            m.put("preprocess_s", median(&setups.preprocess_s), "s");
             m.put("accuracy", accuracy, "ratio");
             m
         }
@@ -675,6 +728,7 @@ fn run(args: &Args, work: &Path) -> Result<Outcome, String> {
         attempted,
         failed,
         problems,
+        machine: setups.machine_line(),
     })
 }
 
