@@ -113,6 +113,38 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three products at the shapes preprocessing spends its time in (the
+/// library's 256-wide hidden layers, the 16- and 32-wide expert heads at
+/// batch 64) and at the single-row serving shape, through the dispatched
+/// kernels. Names read `m×k×n`: C is `m×n`, the inner dimension `k`.
+fn bench_training_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel");
+    let mut rng = Prng::seed_from_u64(7);
+    for &(m, k, n) in &[
+        (64usize, 256usize, 256usize),
+        (64, 16, 16),
+        (64, 32, 16),
+        (1, 256, 256),
+    ] {
+        let shape = format!("{m}x{k}x{n}");
+        let a = Tensor::randn([m, k], 1.0, &mut rng);
+        let at = Tensor::randn([k, m], 1.0, &mut rng);
+        let b = Tensor::randn([k, n], 1.0, &mut rng);
+        let bt = Tensor::randn([n, k], 1.0, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_with_input(BenchmarkId::new("mm_rows", &shape), &shape, |bch, _| {
+            bch.iter(|| simd::mm_rows(black_box(&mut out), a.data(), b.data(), k, n, m))
+        });
+        group.bench_with_input(BenchmarkId::new("mm_at_b", &shape), &shape, |bch, _| {
+            bch.iter(|| simd::mm_at_b(black_box(&mut out), at.data(), b.data(), k, m, n))
+        });
+        group.bench_with_input(BenchmarkId::new("mm_a_bt", &shape), &shape, |bch, _| {
+            bch.iter(|| simd::mm_a_bt(black_box(&mut out), a.data(), bt.data(), m, k, n))
+        });
+    }
+    group.finish();
+}
+
 /// The removed `if a == 0.0 {{ continue; }}` shortcut claimed to help
 /// sparse inputs; this pins that branch-free kernels don't regress past
 /// noise on 90%-zero activations (the post-ReLU case it targeted).
@@ -150,6 +182,7 @@ criterion_group!(
     bench_softmax,
     bench_im2col,
     bench_simd_kernels,
+    bench_training_shapes,
     bench_sparse_inputs,
     bench_quantization
 );

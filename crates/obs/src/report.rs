@@ -10,8 +10,9 @@
 //! * `*_ns` latency metrics are higher-is-worse; a regression must exceed
 //!   **both** a relative threshold and an absolute noise floor, so a
 //!   200 ns → 300 ns jitter on a nanosecond-scale bench doesn't fail CI.
-//! * `samples_per_sec` is lower-is-worse (relative only; rows measuring
-//!   < 1 sample/sec are skipped as too noisy).
+//! * `samples_per_sec` is lower-is-worse (relative only, by the same
+//!   factor as latency: a regression is `cand·(1+rel) < base`; rows
+//!   measuring < 1 sample/sec are skipped as too noisy).
 //! * `errors`/`shed`/`partial` counts regress when the candidate exceeds
 //!   the baseline by more than a configurable count floor.
 //! * `slo_pass` (0/1) regresses when a passing baseline turns failing.
@@ -394,7 +395,9 @@ fn metric_verdict(metric: &str, base: f64, cand: f64, opts: &DiffOptions) -> Opt
             if base < 1.0 {
                 return None; // too slow/noisy for a relative throughput gate
             }
-            let worse = cand < base * (1.0 - opts.rel);
+            // The latency check's factor, inverted: `base·(1−rel)` would
+            // go negative, and the gate blind, for any `rel` ≥ 1.
+            let worse = cand * (1.0 + opts.rel) < base;
             Some(if worse {
                 Verdict::Regression
             } else {
@@ -504,6 +507,21 @@ mod tests {
         // Faster is never a regression.
         let d = diff(&cand, &base, &DiffOptions::default());
         assert!(d.passed(), "{}", d.render());
+        // At CI's `--rel 25.0` the gate still fails a 30× drop and passes
+        // a 20× one (it allows up to 26×, the latency check's factor).
+        let ci = DiffOptions {
+            rel: 25.0,
+            ..DiffOptions::default()
+        };
+        for (rate, passes) in [("33333.3", false), ("50000.0", true)] {
+            let row = ROW_A.replace(
+                "\"samples_per_sec\": 1000000.0",
+                &format!("\"samples_per_sec\": {rate}"),
+            );
+            let cand = BenchReport::parse(&v2_report(&[&row])).unwrap();
+            let d = diff(&base, &cand, &ci);
+            assert_eq!(d.passed(), passes, "{rate}/s: {}", d.render());
+        }
     }
 
     #[test]

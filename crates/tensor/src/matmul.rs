@@ -11,6 +11,14 @@
 //! tensor buffers and return owned output chunks, so no borrow ever
 //! crosses a thread boundary.
 //!
+//! Every output element has a fixed accumulation order that depends only
+//! on `k` (and, for `A·B`, its column), never on its row index, the row
+//! count, or the shard it lands in (see [`crate::simd`] § Accumulation
+//! order). Sharding therefore changes no bit of the result, and neither
+//! does batching: row `r` of `x · Wᵀ` equals `xᵣ · Wᵀ` computed alone,
+//! which the batched == unbatched serving tests and the router ==
+//! fat-server tests rely on.
+//!
 //! The kernels are deliberately free of data-dependent branches: there is
 //! no "skip zero entries" fast path, because `0 × NaN` and `0 × ∞` must
 //! produce `NaN` identically in the scalar and vector kernels for the

@@ -24,12 +24,43 @@
 //! order (bounded by the differential property tests in
 //! `tests/simd_differential.rs`). The scalar kernels are the contract;
 //! the vector kernels are an optimization of it.
+//!
+//! # Accumulation order
+//!
+//! Within one family, every output element of a product goes through a
+//! fixed sequence of roundings that depends only on `k` and, for `A·B`,
+//! on the element's column. The AVX2 kernels follow it exactly:
+//!
+//! * `mm_rows` / `mm_at_b` (`C += A·B`, `C += Aᵀ·B`): `C[i][j]` starts
+//!   from its value in `out`, then for `p = 0, 1, …, k−1` in order,
+//!   `C[i][j] ← fma(A(i,p), B[p][j], C[i][j])`. In the last `n % 8`
+//!   columns only, the last `k % 4` steps round the product and the sum
+//!   separately (`C ← C + A·B`). The scalar oracle rounds both,
+//!   separately, at every step.
+//! * `mm_a_bt` (`C = A·Bᵀ`): `C[i][j]` is [`avx2::dot`] of A row `i` and
+//!   B row `j`: four 8-lane FMA accumulators over the 32-float chunks of
+//!   `k` (accumulator `q` takes offset `8q` of each chunk), the leftover
+//!   8-float chunks into accumulator 0, then `(acc0 + acc1) + (acc2 +
+//!   acc3)`, then the eight lanes summed as `((l0+l4) + (l2+l6)) +
+//!   ((l1+l5) + (l3+l7))`, then the last `k % 8` products added one at a
+//!   time, each rounded separately. The scalar oracle sums `a·b` left to
+//!   right.
+//!
+//! How the kernels tile C — four rows or one, 16 or 64 columns, 2×4 or
+//! 1×8 outputs of `A·Bᵀ` — changes which outputs share loads and
+//! registers, never the sequence above. So an output's bits cannot
+//! depend on its row's position in the batch, the batch size, or the
+//! row shard that computed it: a row served alone equals the same row
+//! inside a micro-batch, and a router's per-shard answer equals the fat
+//! server's. `tests/simd_differential.rs` pins the AVX2 bits on shapes
+//! that reach every tile edge.
 
 // The crate is `deny(unsafe_code)`; the AVX2 intrinsics below are the one
 // sanctioned exception. Safety rests on two invariants: every `unsafe fn`
 // is only reachable through a wrapper that has verified `avx2`+`fma` at
-// runtime, and every pointer arithmetic stays within `i + 8 <= len`
-// guards with scalar tails.
+// runtime, and every pointer arithmetic stays within the lengths that
+// wrapper checked: full vectors under `i + 8 <= len` guards, tails scalar
+// or masked.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
@@ -292,104 +323,397 @@ pub mod avx2 {
         );
     }
 
-    /// See [`super::scalar::mm_rows`]; identical semantics, 8-wide FMA.
+    /// See [`super::scalar::mm_rows`]; identical semantics, register-blocked
+    /// FMA. Bit-identical for every shape: see the module docs.
     pub fn mm_rows(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, rows: usize) {
         check();
-        debug_assert_eq!(out.len(), rows * n);
-        debug_assert_eq!(a.len(), rows * k);
-        debug_assert_eq!(b.len(), k * n);
-        unsafe { mm_rows_impl(out, a, b, k, n, rows) }
+        assert!(out.len() == rows * n && a.len() == rows * k && b.len() == k * n);
+        // SAFETY: `check` verified avx2+fma; with A(i, p) = a[i·k + p] the
+        // asserted lengths cover every index `mm_strided` reads or writes.
+        unsafe { mm_strided(out, a, k, 1, b, k, n, rows) }
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn mm_rows_impl(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, rows: usize) {
-        // Block four B rows per pass over the C row: the C row is loaded
-        // and stored once per four k-steps instead of once per step, and
-        // the four FMAs per vector are independent of the load chain.
-        for i in 0..rows {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            let mut p = 0usize;
-            while p + 4 <= k {
-                axpy4_impl(
-                    out_row,
-                    [a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]],
-                    &b[p * n..(p + 1) * n],
-                    &b[(p + 1) * n..(p + 2) * n],
-                    &b[(p + 2) * n..(p + 3) * n],
-                    &b[(p + 3) * n..(p + 4) * n],
-                );
-                p += 4;
-            }
-            while p < k {
-                axpy_impl(out_row, a_row[p], &b[p * n..(p + 1) * n]);
-                p += 1;
-            }
-        }
-    }
-
-    /// See [`super::scalar::mm_at_b`]; identical semantics, 8-wide FMA.
+    /// See [`super::scalar::mm_at_b`]; identical semantics, the same
+    /// register-blocked kernel as [`mm_rows`] reading A down its columns.
     pub fn mm_at_b(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
         check();
-        debug_assert_eq!(out.len(), m * n);
-        debug_assert_eq!(a.len(), k * m);
-        debug_assert_eq!(b.len(), k * n);
-        unsafe { mm_at_b_impl(out, a, b, k, m, n) }
+        assert!(out.len() == m * n && a.len() == k * m && b.len() == k * n);
+        // SAFETY: `check` verified avx2+fma; with A(i, p) = a[p·m + i] the
+        // asserted lengths cover every index `mm_strided` reads or writes.
+        unsafe { mm_strided(out, a, 1, m, b, k, n, m) }
     }
 
+    /// `C[rows×n] += A·B` with `A(i, p) = a[i·rs + p·cs]` and `B` row-major
+    /// `[k×n]`. C is covered by register tiles: four rows at a time, one
+    /// row at a time for the rest, with wider tiles for single rows so a
+    /// row still keeps eight independent FMA chains in flight.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports avx2 and fma, `out` holds `rows·n` floats, `b`
+    /// holds `k·n`, and `a` holds index `i·rs + p·cs` for every `i < rows`
+    /// and `p < k`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn mm_at_b_impl(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
-        // Same 4-wide k-blocking as `mm_rows_impl`, with the loops
-        // exchanged so each C row stays hot; A is read at stride `m`
-        // (one scalar per k-step), which is cheap next to the row traffic.
-        // Per-element accumulation order over p is unchanged, so results
-        // match the scalar oracle within FMA reassociation error.
-        for i in 0..m {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            let mut p = 0usize;
-            while p + 4 <= k {
-                axpy4_impl(
-                    out_row,
-                    [
-                        a[p * m + i],
-                        a[(p + 1) * m + i],
-                        a[(p + 2) * m + i],
-                        a[(p + 3) * m + i],
-                    ],
-                    &b[p * n..(p + 1) * n],
-                    &b[(p + 1) * n..(p + 2) * n],
-                    &b[(p + 2) * n..(p + 3) * n],
-                    &b[(p + 3) * n..(p + 4) * n],
-                );
-                p += 4;
+    unsafe fn mm_strided(
+        out: &mut [f32],
+        a: &[f32],
+        rs: usize,
+        cs: usize,
+        b: &[f32],
+        k: usize,
+        n: usize,
+        rows: usize,
+    ) {
+        let (c, a, b) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        let mut i = 0usize;
+        while i + 4 <= rows {
+            ab_rows::<4, 2>(c.add(i * n), a.add(i * rs), rs, cs, b, k, n);
+            i += 4;
+        }
+        while i < rows {
+            ab_rows::<1, 8>(c.add(i * n), a.add(i * rs), rs, cs, b, k, n);
+            i += 1;
+        }
+    }
+
+    /// One block of `R` rows of C, left to right: `8·V`-column tiles,
+    /// then narrower full-vector tiles for what is left (fewer than `V`
+    /// vectors), then one masked tile for the last `n % 8` columns.
+    ///
+    /// # Safety
+    ///
+    /// As [`mm_strided`], for the `R` rows of C at `c` and of A at `a`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn ab_rows<const R: usize, const V: usize>(
+        c: *mut f32,
+        a: *const f32,
+        rs: usize,
+        cs: usize,
+        b: *const f32,
+        k: usize,
+        n: usize,
+    ) {
+        let mut j = 0usize;
+        while j + 8 * V <= n {
+            ab_tile::<R, V>(c.add(j), a, rs, cs, b.add(j), k, n);
+            j += 8 * V;
+        }
+        if V > 4 && j + 32 <= n {
+            ab_tile::<R, 4>(c.add(j), a, rs, cs, b.add(j), k, n);
+            j += 32;
+        }
+        if V > 2 && j + 16 <= n {
+            ab_tile::<R, 2>(c.add(j), a, rs, cs, b.add(j), k, n);
+            j += 16;
+        }
+        if V > 1 && j + 8 <= n {
+            ab_tile::<R, 1>(c.add(j), a, rs, cs, b.add(j), k, n);
+            j += 8;
+        }
+        if j < n {
+            ab_tail::<R>(c.add(j), a, rs, cs, b.add(j), k, n, n - j);
+        }
+    }
+
+    /// An `R × 8V` tile of C (row stride `n`), held in registers over the
+    /// whole `k` loop: `c ← fma(A(r, p), b[p][j], c)` for `p = 0, 1, …`.
+    ///
+    /// # Safety
+    ///
+    /// As [`mm_strided`], with `8·V` columns of C at `c` and of B at `b`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn ab_tile<const R: usize, const V: usize>(
+        c: *mut f32,
+        a: *const f32,
+        rs: usize,
+        cs: usize,
+        b: *const f32,
+        k: usize,
+        n: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, x) in row.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(c.add(r * n + 8 * v));
             }
-            while p < k {
-                axpy_impl(out_row, a[p * m + i], &b[p * n..(p + 1) * n]);
-                p += 1;
+        }
+        for p in 0..k {
+            let (ap, bp) = (a.add(p * cs), b.add(p * n));
+            for (r, row) in acc.iter_mut().enumerate() {
+                let s = _mm256_set1_ps(*ap.add(r * rs));
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = _mm256_fmadd_ps(s, _mm256_loadu_ps(bp.add(8 * v)), *x);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, x) in row.iter().enumerate() {
+                _mm256_storeu_ps(c.add(r * n + 8 * v), *x);
             }
         }
     }
 
-    /// See [`super::scalar::mm_a_bt`]; identical semantics, 8-wide FMA
-    /// dot products with four accumulators.
+    /// The last `w < 8` columns of `R` rows of C, through masked loads and
+    /// stores. These columns round like a scalar column tail: fused for
+    /// `p` below `k & !3`, a separately rounded product and sum for the
+    /// last `k % 4` steps (module docs, § Accumulation order).
+    ///
+    /// # Safety
+    ///
+    /// As [`mm_strided`], with `w` columns of C at `c` and of B at `b`;
+    /// the masked lanes past them are never touched.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn ab_tail<const R: usize>(
+        c: *mut f32,
+        a: *const f32,
+        rs: usize,
+        cs: usize,
+        b: *const f32,
+        k: usize,
+        n: usize,
+        w: usize,
+    ) {
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(w as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (r, x) in acc.iter_mut().enumerate() {
+            *x = _mm256_maskload_ps(c.add(r * n), mask);
+        }
+        let fused = k & !3;
+        for p in 0..k {
+            let (ap, bv) = (a.add(p * cs), _mm256_maskload_ps(b.add(p * n), mask));
+            for (r, x) in acc.iter_mut().enumerate() {
+                let s = _mm256_set1_ps(*ap.add(r * rs));
+                *x = if p < fused {
+                    _mm256_fmadd_ps(s, bv, *x)
+                } else {
+                    _mm256_add_ps(*x, _mm256_mul_ps(s, bv))
+                };
+            }
+        }
+        for (r, x) in acc.iter().enumerate() {
+            _mm256_maskstore_ps(c.add(r * n), mask, *x);
+        }
+    }
+
+    /// See [`super::scalar::mm_a_bt`]; identical semantics. Every output
+    /// is the [`dot`] of its A row and B row, bit for bit; tiles of
+    /// outputs share their loads.
     pub fn mm_a_bt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
         check();
-        debug_assert_eq!(out.len(), m * n);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), n * k);
-        unsafe { mm_a_bt_impl(out, a, b, m, k, n) }
+        assert!(out.len() == m * n && a.len() == m * k && b.len() == n * k);
+        // SAFETY: `check` verified avx2+fma; the asserted lengths cover
+        // every index `mm_a_bt_tiled` reads or writes.
+        unsafe { mm_a_bt_tiled(out, a, b, m, k, n) }
     }
 
+    /// 2×4 output tiles (pairs of A rows against quads of B rows), one
+    /// column of tiles at a time so the quad's B rows stay in L1 while A
+    /// streams past, and 1×8 tiles for a last odd A row. When `n` is not
+    /// a multiple of the tile width, the last tile overlaps the one
+    /// before it: an output's bits do not depend on the tile that
+    /// computes it, so the overlap rewrites the same values. [`dot`]
+    /// covers the rows narrower than one tile.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports avx2 and fma, and `out`, `a`, `b` hold `m·n`,
+    /// `m·k` and `n·k` floats.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn mm_a_bt_impl(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (j, ov) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                *ov = dot_impl(a_row, b_row);
+    unsafe fn mm_a_bt_tiled(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+        let pairs = m & !1;
+        if n < 4 {
+            dot_rows(out, a, b, 0..pairs, k, n);
+        } else {
+            dot_tiles::<2, 4>(out, a, b, 0..pairs, k, n);
+        }
+        if n < 8 {
+            dot_rows(out, a, b, pairs..m, k, n);
+        } else {
+            dot_tiles::<1, 8>(out, a, b, pairs..m, k, n);
+        }
+    }
+
+    /// A rows `rows` (a multiple of `R` of them) against all `n ≥ C` B
+    /// rows in `R × C` tiles, column by column; the last column of tiles
+    /// ends at B row `n`.
+    ///
+    /// # Safety
+    ///
+    /// As [`mm_a_bt_tiled`], with `rows` inside `0..m` and `n ≥ C`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot_tiles<const R: usize, const C: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        rows: std::ops::Range<usize>,
+        k: usize,
+        n: usize,
+    ) {
+        for j in (0..n).step_by(C) {
+            for i in rows.clone().step_by(R) {
+                dot_tile::<R, C>(out, a, b, i, j.min(n - C), k, n);
             }
         }
+    }
+
+    /// Every output of A rows `rows`, one [`dot`] each.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot_rows(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        rows: std::ops::Range<usize>,
+        k: usize,
+        n: usize,
+    ) {
+        for r in rows {
+            let a_row = &a[r * k..(r + 1) * k];
+            for (j, o) in out[r * n..(r + 1) * n].iter_mut().enumerate() {
+                *o = dot_impl(a_row, &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// The outputs of A rows `i..i+R` against B rows `j..j+C` (`R·C = 8`).
+    ///
+    /// Each output keeps [`dot`]'s exact arithmetic. `dot` runs four
+    /// accumulators over the 32-float chunks of `k` (accumulator `q` takes
+    /// the 8 floats at offset `8q` of each chunk), then feeds the leftover
+    /// 8-float chunks into accumulator 0. Eight outputs times four
+    /// accumulators do not fit in sixteen registers, so the tile runs the
+    /// four accumulator passes one after another, each with one register
+    /// per output, and combines them exactly as `dot` does:
+    /// `(acc0 + acc1) + (acc2 + acc3)`, then [`hsum8`], then the scalar
+    /// tail.
+    ///
+    /// # Safety
+    ///
+    /// As [`mm_a_bt_tiled`], with `i + R ≤ m` and `j + C ≤ n`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot_tile<const R: usize, const C: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+    ) {
+        const { assert!((R == 2 && C == 4) || (R == 1 && C == 8)) };
+        let (k32, k8) = (k & !31, k & !7);
+        let (ap, bp) = (a.as_ptr().add(i * k), b.as_ptr().add(j * k));
+        let zero = [[_mm256_setzero_ps(); C]; R];
+        let acc0 = dot_pass(zero, ap, bp, k, 0, k32, 32);
+        let acc0 = dot_pass(acc0, ap, bp, k, k32, k8, 8);
+        let acc1 = dot_pass(zero, ap, bp, k, 8, k32, 32);
+        let acc2 = dot_pass(zero, ap, bp, k, 16, k32, 32);
+        let acc3 = dot_pass(zero, ap, bp, k, 24, k32, 32);
+        let mut v = [_mm256_setzero_ps(); 8];
+        for r in 0..R {
+            for c in 0..C {
+                v[r * C + c] = _mm256_add_ps(
+                    _mm256_add_ps(acc0[r][c], acc1[r][c]),
+                    _mm256_add_ps(acc2[r][c], acc3[r][c]),
+                );
+            }
+        }
+        let sums = hsum8(&v);
+        let cp = out.as_mut_ptr().add(i * n + j);
+        if C == 8 {
+            _mm256_storeu_ps(cp, sums);
+        } else {
+            _mm_storeu_ps(cp, _mm256_castps256_ps128(sums));
+            _mm_storeu_ps(cp.add(n), _mm256_extractf128_ps(sums, 1));
+        }
+        if k8 < k {
+            for r in 0..R {
+                for c in 0..C {
+                    let (ar, bc) = (ap.add(r * k), bp.add(c * k));
+                    let o = &mut *cp.add(r * n + c);
+                    for p in k8..k {
+                        *o += *ar.add(p) * *bc.add(p);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `acc[r][c] ← fma(A_r[p..p+8], B_c[p..p+8], acc[r][c])` for
+    /// `p = start, start + step, …` below `end`; A and B rows are `k` long.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports avx2 and fma; `ap` and `bp` point at `R` and `C`
+    /// rows of `k` floats, and `end ≤ k & !7`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot_pass<const R: usize, const C: usize>(
+        mut acc: [[__m256; C]; R],
+        ap: *const f32,
+        bp: *const f32,
+        k: usize,
+        start: usize,
+        end: usize,
+        step: usize,
+    ) -> [[__m256; C]; R] {
+        let mut p = start;
+        while p < end {
+            let mut av = [_mm256_setzero_ps(); R];
+            for (r, x) in av.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(ap.add(r * k + p));
+            }
+            for c in 0..C {
+                let bv = _mm256_loadu_ps(bp.add(c * k + p));
+                for (row, &ar) in acc.iter_mut().zip(&av) {
+                    row[c] = _mm256_fmadd_ps(ar, bv, row[c]);
+                }
+            }
+            p += step;
+        }
+        acc
+    }
+
+    /// [`hsum256`] of eight vectors at once, lane `x` of the result being
+    /// `hsum256(v[x])` bit for bit: the same three rounds of additions on
+    /// the same operands (lane `l` + lane `l+4`, then `l` + `l+2`, then
+    /// lane 0 + lane 1), with the lanes of eight outputs transposed into
+    /// each other instead of reduced one vector at a time.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum8(v: &[__m256; 8]) -> __m256 {
+        // Round 1: s[x] = v[x].lo + v[x].hi; output x and x+4 share a
+        // register, x in the low half.
+        let mut s = [_mm256_setzero_ps(); 4];
+        for (x, sx) in s.iter_mut().enumerate() {
+            *sx = _mm256_add_ps(
+                _mm256_permute2f128_ps(v[x], v[x + 4], 0x20),
+                _mm256_permute2f128_ps(v[x], v[x + 4], 0x31),
+            );
+        }
+        // Round 2: [s0 + s2, s1 + s3] per output; outputs x, x+1 (x+4,
+        // x+5) share a half.
+        let t01 = _mm256_add_ps(
+            _mm256_shuffle_ps(s[0], s[1], 0x44),
+            _mm256_shuffle_ps(s[0], s[1], 0xEE),
+        );
+        let t23 = _mm256_add_ps(
+            _mm256_shuffle_ps(s[2], s[3], 0x44),
+            _mm256_shuffle_ps(s[2], s[3], 0xEE),
+        );
+        // Round 3: t0 + t1 per output, in output order.
+        _mm256_add_ps(
+            _mm256_shuffle_ps(t01, t23, 0x88),
+            _mm256_shuffle_ps(t01, t23, 0xDD),
+        )
     }
 
     /// `out[i] += s · x[i]` (exposed for the differential tests).
@@ -414,43 +738,6 @@ pub mod avx2 {
         }
         while i < n {
             *op.add(i) += s * *xp.add(i);
-            i += 1;
-        }
-    }
-
-    /// `out[i] += s0·x0[i] + s1·x1[i] + s2·x2[i] + s3·x3[i]`, one pass.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn axpy4_impl(
-        out: &mut [f32],
-        s: [f32; 4],
-        x0: &[f32],
-        x1: &[f32],
-        x2: &[f32],
-        x3: &[f32],
-    ) {
-        let n = out.len();
-        let v0 = _mm256_set1_ps(s[0]);
-        let v1 = _mm256_set1_ps(s[1]);
-        let v2 = _mm256_set1_ps(s[2]);
-        let v3 = _mm256_set1_ps(s[3]);
-        let op = out.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let mut o = _mm256_loadu_ps(op.add(i));
-            o = _mm256_fmadd_ps(v0, _mm256_loadu_ps(x0.as_ptr().add(i)), o);
-            o = _mm256_fmadd_ps(v1, _mm256_loadu_ps(x1.as_ptr().add(i)), o);
-            o = _mm256_fmadd_ps(v2, _mm256_loadu_ps(x2.as_ptr().add(i)), o);
-            o = _mm256_fmadd_ps(v3, _mm256_loadu_ps(x3.as_ptr().add(i)), o);
-            _mm256_storeu_ps(op.add(i), o);
-            i += 8;
-        }
-        while i < n {
-            let mut v = *op.add(i);
-            v = s[0].mul_add(x0[i], v);
-            v = s[1].mul_add(x1[i], v);
-            v = s[2].mul_add(x2[i], v);
-            v = s[3].mul_add(x3[i], v);
-            *op.add(i) = v;
             i += 1;
         }
     }

@@ -40,12 +40,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `mm_rows` (C += A·B) on odd shapes whose `n` is deliberately not a
-    /// multiple of the 8-lane vector width.
+    /// multiple of the 8-lane vector width, reaching past one register
+    /// tile in both `m` and `n`.
     #[test]
     fn mm_rows_matches_oracle(
-        m in 1usize..7,
-        k in 1usize..19,
-        n in 1usize..21,
+        m in 1usize..11,
+        k in 1usize..71,
+        n in 1usize..41,
         seed in 0u64..1000,
     ) {
         if !avx2::available() { return Ok(()); }
@@ -62,9 +63,9 @@ proptest! {
     /// `mm_at_b` (C += Aᵀ·B), the backward-pass kernel.
     #[test]
     fn mm_at_b_matches_oracle(
-        m in 1usize..7,
-        k in 1usize..17,
-        n in 1usize..21,
+        m in 1usize..11,
+        k in 1usize..71,
+        n in 1usize..41,
         seed in 0u64..1000,
     ) {
         if !avx2::available() { return Ok(()); }
@@ -78,13 +79,14 @@ proptest! {
         assert_close(&fast, &oracle, tol(k, 3.0), "mm_at_b");
     }
 
-    /// `mm_a_bt` (C += A·Bᵀ), the im2col-GEMM / linear-forward kernel,
-    /// with `k` crossing the 32-wide unrolled dot-product boundary.
+    /// `mm_a_bt` (C = A·Bᵀ), the im2col-GEMM / linear-forward kernel,
+    /// with `k` crossing the 32-wide unrolled dot-product boundary and
+    /// `m`, `n` crossing the output tile edges.
     #[test]
     fn mm_a_bt_matches_oracle(
-        m in 1usize..6,
-        k in 1usize..70,
-        n in 1usize..7,
+        m in 1usize..11,
+        k in 1usize..71,
+        n in 1usize..11,
         seed in 0u64..1000,
     ) {
         if !avx2::available() { return Ok(()); }
@@ -258,4 +260,81 @@ fn exp_floor_is_within_softmax_tolerance() {
     assert!(row[0].abs() < 1e-5, "exp(-200) ≈ 0 (got {})", row[0]);
     assert!((row[1] - 1.0).abs() < 1e-6);
     assert!((sum - 1.0).abs() < 1e-4);
+}
+
+/// FNV-1a over the bit patterns of `values`, folded into `h`.
+fn fnv(h: &mut u64, values: &[f32]) {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            *h ^= byte as u64;
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Pins the exact bits of the three AVX2 products on a fixed seeded shape
+/// list: a kernel change may make them faster, never different. Every
+/// output keeps its accumulation order (see the `simd` module docs), so
+/// the served answers and the trained pool cannot move either. The shapes
+/// reach every tile edge: `m` of 1 and not a multiple of 4, `n` with
+/// 16-wide, 8-wide and sub-vector tails (and B-row counts not a multiple
+/// of the `A·Bᵀ` tile), and `k` crossing 4, 8 and 32, plus the training
+/// and single-row serving shapes.
+#[test]
+fn avx2_products_are_bit_stable() {
+    if !avx2::available() {
+        return;
+    }
+    let ms = [1usize, 2, 3, 4, 5, 7, 8, 10];
+    let ks = [1usize, 3, 4, 5, 8, 9, 12, 31, 32, 33, 36, 40, 64, 70];
+    let ns = [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 31, 40, 64, 72];
+    let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+    for &m in &ms {
+        for &k in &ks {
+            for &n in &ns {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    shapes.extend([
+        (64, 256, 256),
+        (64, 16, 16),
+        (64, 32, 16),
+        (1, 256, 256),
+        (33, 144, 65),
+    ]);
+
+    let mut rng = Prng::seed_from_u64(0xB175);
+    // FNV-1a offset basis, one hash per product.
+    let mut got = [0xcbf2_9ce4_8422_2325u64; 3];
+    for &(m, k, n) in &shapes {
+        let a = Tensor::randn([m, k], 1.0, &mut rng);
+        let b = Tensor::randn([k, n], 1.0, &mut rng);
+        let at = Tensor::randn([k, m], 1.0, &mut rng);
+        let bt = Tensor::randn([n, k], 1.0, &mut rng);
+        // The accumulating products start from a non-zero C, so the
+        // pinned bits also cover how C's old value enters each chain.
+        let c0 = Tensor::randn([m, n], 1.0, &mut rng);
+
+        let mut out = c0.data().to_vec();
+        avx2::mm_rows(&mut out, a.data(), b.data(), k, n, m);
+        fnv(&mut got[0], &out);
+
+        let mut out = c0.data().to_vec();
+        avx2::mm_at_b(&mut out, at.data(), b.data(), k, m, n);
+        fnv(&mut got[1], &out);
+
+        let mut out = c0.data().to_vec();
+        avx2::mm_a_bt(&mut out, a.data(), bt.data(), m, k, n);
+        fnv(&mut got[2], &out);
+    }
+    let pinned: [u64; 3] = [
+        0xa5f7_b2bf_b155_b4c2,
+        0x3e57_6c6f_21f4_1e3f,
+        0xeaa8_6c19_960f_267a,
+    ];
+    assert_eq!(
+        got, pinned,
+        "AVX2 product bits moved (mm_rows, mm_at_b, mm_a_bt): {got:#018x?}"
+    );
 }

@@ -477,11 +477,20 @@ fn segment_read_fault_is_typed_and_recoverable() {
 /// no pool lock held, so nothing is poisoned.
 #[test]
 fn panic_mid_swap_leaves_pool_serving() {
+    // Every store access below runs under a chaos guard (an empty plan
+    // outside the injected panic), so it serializes with the other chaos
+    // tests instead of meeting their plans, e.g. an always-failing
+    // `STORE_READ_IO`.
+    let quiet = || ChaosPlan::new(poe_chaos::seed_from_env()).install();
     let dir = std::env::temp_dir().join("poe_chaos_mid_swap");
-    persist_real_pool(&dir);
-    let (pool, _) = load_standalone(&dir).unwrap();
-    let svc = QueryService::builder(pool).build();
-    let before = svc.query(&[0, 1]).unwrap();
+    let (svc, before) = {
+        let _quiet = quiet();
+        persist_real_pool(&dir);
+        let (pool, _) = load_standalone(&dir).unwrap();
+        let svc = QueryService::builder(pool).build();
+        let before = svc.query(&[0, 1]).unwrap();
+        (svc, before)
+    };
     {
         let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
             .with(Fault::times(sites::POOL_SWAP_PANIC, FaultKind::Panic, 1))
@@ -489,6 +498,7 @@ fn panic_mid_swap_leaves_pool_serving() {
         let swap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.reload_expert(0)));
         assert!(swap.is_err(), "injected panic must surface");
     }
+    let _quiet = quiet();
     // The aborted swap changed nothing: same versions, same weights.
     let after = svc.query(&[0, 1]).unwrap();
     assert_eq!(

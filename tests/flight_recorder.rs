@@ -139,6 +139,10 @@ fn concurrent_writers_never_tear_events_and_drops_are_exact() {
 /// the recorder's dropped count.
 #[test]
 fn twelve_client_wire_traffic_dumps_cleanly() {
+    // The ring is process-global: an empty chaos plan's guard serializes
+    // this test with the two chaos tests below, whose servers would
+    // otherwise record their own (failing) requests inside this window.
+    let _serial = ChaosPlan::new(poe_chaos::seed_from_env()).install();
     let dir = std::env::temp_dir().join("poe_flight_wire_test");
     std::fs::remove_dir_all(&dir).ok();
     let flight = FlightRecorder::global();
