@@ -1,17 +1,15 @@
 //! C10K: request latency with 10,000 concurrent idle connections parked
-//! on the epoll backend, per ISSUE 9's acceptance bar.
+//! on the server's event loop.
 //!
-//! Three rows land in `BENCH_serve.json`:
+//! Two rows land in `BENCH_serve.json`:
 //!
-//! * `c10k/rtt_single/threads` and `c10k/rtt_single/epoll` — one
-//!   persistent connection, `INFO` round trips against an otherwise idle
-//!   server. The parity check: the event loop must not tax the
-//!   single-connection path the thread-per-connection backend serves
-//!   with a dedicated blocking thread.
-//! * `c10k/rtt_under_10k_idle/epoll` — the same round trip while 10,000
-//!   other connections sit open and idle. The shim reports p50/p95/p99,
-//!   so the tail under load is in the committed report, not just the
-//!   mean.
+//! * `c10k/rtt_single` — one persistent connection, `INFO` round trips
+//!   against an otherwise idle server: the single-connection floor. The
+//!   loop answers `INFO` itself and writes the answer in the same loop
+//!   iteration, so this row is one read, one write, and no thread hop.
+//! * `c10k/rtt_under_10k_idle` — the same round trip while 10,000 other
+//!   connections sit open and idle. The shim reports p50/p95/p99, so the
+//!   tail under load is in the committed report, not just the mean.
 //!
 //! The container caps `RLIMIT_NOFILE` at a hard 20,000, and both ends of
 //! a loopback connection count against the owning process — one process
@@ -28,7 +26,7 @@
 //! connection state machine plus an empty 8 KiB-capped read buffer).
 
 use criterion::Criterion;
-use poe_cli::serve::{NetBackend, ServeConfig};
+use poe_cli::serve::ServeConfig;
 use poe_core::pool::{Expert, ExpertPool};
 use poe_core::service::QueryService;
 use poe_data::ClassHierarchy;
@@ -70,13 +68,12 @@ fn service() -> Arc<QueryService> {
 
 /// Child-process entry: bind, announce the port on stdout, serve until
 /// `SHUTDOWN` (or until the parent kills us).
-fn run_server(net: NetBackend) -> ! {
+fn run_server() -> ! {
     let _ = poe_net::sys::raise_nofile_limit(IDLE_CONNS as u64 + 2048);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     println!("PORT {}", listener.local_addr().unwrap().port());
     std::io::stdout().flush().unwrap();
     let server = ServeConfig::builder()
-        .net(net)
         .idle_timeout(None) // parked connections must not be reaped mid-bench
         .drain_deadline(Duration::from_secs(2))
         .start(listener, service(), INPUT_DIM)
@@ -93,11 +90,10 @@ struct ServerChild {
 }
 
 impl ServerChild {
-    fn spawn(net: NetBackend) -> ServerChild {
+    fn spawn() -> ServerChild {
         let exe = std::env::current_exe().unwrap();
         let mut child = Command::new(exe)
             .env("POE_C10K_ROLE", "server")
-            .env("POE_C10K_NET", net.name())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -197,12 +193,12 @@ fn connect_idle(addr: SocketAddr) -> TcpStream {
 }
 
 /// `INFO` round trips on one persistent connection against an idle
-/// server — the threads-vs-epoll parity rows.
-fn bench_rtt_single(c: &mut Criterion, net: NetBackend) {
-    let server = ServerChild::spawn(net);
+/// server.
+fn bench_rtt_single(c: &mut Criterion) {
+    let server = ServerChild::spawn();
     let (mut w, mut r) = client(server.addr);
     assert!(ask(&mut w, &mut r, "INFO").starts_with("OK tasks="));
-    c.bench_function(&format!("c10k/rtt_single/{}", net.name()), |b| {
+    c.bench_function("c10k/rtt_single", |b| {
         b.iter(|| black_box(ask(&mut w, &mut r, "INFO")))
     });
     drop((w, r));
@@ -213,7 +209,7 @@ fn bench_rtt_single(c: &mut Criterion, net: NetBackend) {
 /// connections sit parked on the event loop, plus the per-connection
 /// RSS bound.
 fn bench_rtt_under_idle_load(c: &mut Criterion) {
-    let server = ServerChild::spawn(NetBackend::Epoll);
+    let server = ServerChild::spawn();
     let _ = poe_net::sys::raise_nofile_limit(IDLE_CONNS as u64 + 2048);
 
     let (mut w, mut r) = client(server.addr);
@@ -241,33 +237,22 @@ fn bench_rtt_under_idle_load(c: &mut Criterion) {
         );
     }
 
-    c.bench_function(
-        &format!("c10k/rtt_under_10k_idle/{}", NetBackend::Epoll.name()),
-        |b| b.iter(|| black_box(ask(&mut w, &mut r, "INFO"))),
-    );
+    c.bench_function("c10k/rtt_under_10k_idle", |b| {
+        b.iter(|| black_box(ask(&mut w, &mut r, "INFO")))
+    });
 
     drop(parked);
     drop((w, r));
     server.shutdown();
 }
 
-fn bench_c10k(c: &mut Criterion) {
-    bench_rtt_single(c, NetBackend::Threads);
-    if !poe_net::epoll_supported() {
-        eprintln!("c10k: epoll unsupported on this target; epoll rows skipped");
-        return;
-    }
-    bench_rtt_single(c, NetBackend::Epoll);
-    bench_rtt_under_idle_load(c);
-}
-
 fn main() {
     // Re-exec'd child: become the server and never return.
     if std::env::var("POE_C10K_ROLE").as_deref() == Ok("server") {
-        let net = std::env::var("POE_C10K_NET").unwrap();
-        run_server(NetBackend::parse(&net).expect("POE_C10K_NET is threads|epoll"));
+        run_server();
     }
     let mut c = Criterion::default();
-    bench_c10k(&mut c);
+    bench_rtt_single(&mut c);
+    bench_rtt_under_idle_load(&mut c);
     criterion::write_report_if_requested();
 }

@@ -51,11 +51,8 @@ pub mod sites {
     pub const STORE_WRITE_PARTIAL: &str = "store.write.partial";
     /// I/O error while reading a model/store file.
     pub const STORE_READ_IO: &str = "store.read.io";
-    /// Stall injected into the server's per-connection read loop.
-    pub const SERVE_READ_STALL: &str = "serve.read.stall";
-    /// I/O error injected into the server's response write path.
-    pub const SERVE_WRITE_IO: &str = "serve.write.io";
-    /// Panic injected into a connection-handling worker.
+    /// Panic injected where the server starts answering a request line
+    /// (on the event loop or a dispatch worker).
     pub const SERVE_WORKER_PANIC: &str = "serve.worker.panic";
     /// Panic injected into a batched forward pass (the flush path) — the
     /// scheduler must contain it and abort only the affected batch.
@@ -481,15 +478,17 @@ mod tests {
         assert!(fail_io(sites::STORE_WRITE_IO).is_none());
         assert!(partial_write(sites::STORE_WRITE_PARTIAL, 100).is_none());
         maybe_panic(sites::SERVE_WORKER_PANIC); // must not panic
-        stall(sites::SERVE_READ_STALL); // must not sleep
+        stall(sites::NET_EPOLL_TICK_STALL); // must not sleep
     }
 
     #[test]
     fn always_rules_fire_and_guard_restores() {
-        let before = hits(sites::STORE_READ_IO);
         let guard = ChaosPlan::new(1)
             .with(Fault::always(sites::STORE_READ_IO, FaultKind::Io))
             .install();
+        // Read under the guard's lock: another test of this binary fires
+        // the same site.
+        let before = hits(sites::STORE_READ_IO);
         assert!(enabled());
         assert!(fail_io(sites::STORE_READ_IO).is_some());
         assert!(fail_io(sites::STORE_READ_IO).is_some());
@@ -501,11 +500,11 @@ mod tests {
     #[test]
     fn hit_caps_limit_firings() {
         let _guard = ChaosPlan::new(2)
-            .with(Fault::times(sites::SERVE_WRITE_IO, FaultKind::Io, 2))
+            .with(Fault::times(sites::NET_EPOLL_WRITE_IO, FaultKind::Io, 2))
             .install();
-        assert!(fail_io(sites::SERVE_WRITE_IO).is_some());
-        assert!(fail_io(sites::SERVE_WRITE_IO).is_some());
-        assert!(fail_io(sites::SERVE_WRITE_IO).is_none());
+        assert!(fail_io(sites::NET_EPOLL_WRITE_IO).is_some());
+        assert!(fail_io(sites::NET_EPOLL_WRITE_IO).is_some());
+        assert!(fail_io(sites::NET_EPOLL_WRITE_IO).is_none());
     }
 
     #[test]
@@ -559,7 +558,7 @@ mod tests {
     fn spec_parsing_round_trips() {
         let p = ChaosPlan::parse(
             42,
-            "store.write.io=1.0; serve.read.stall=0.5@250 ;serve.worker.panic=1.0x3;router.shard.partition=1.0x8",
+            "store.write.io=1.0; net.epoll.tick.stall=0.5@250 ;serve.worker.panic=1.0x3;router.shard.partition=1.0x8",
         )
         .unwrap();
         assert_eq!(p.faults.len(), 4);

@@ -3,7 +3,7 @@
 //! The binary (`src/main.rs`) is a thin argument-parsing shell over this
 //! crate. Exposing the serving substrate as a library lets integration
 //! suites (notably the workspace-level chaos tests in `tests/chaos.rs`)
-//! drive a real [`serve::Server`] — bounded accept queue, load shedding,
+//! drive a real [`serve::Server`] — event loop, load shedding,
 //! `HEALTH`/`SHUTDOWN` lifecycle — in-process, with fault injection from
 //! `poe-chaos` installed around it.
 

@@ -48,20 +48,23 @@ USAGE
       Per-expert calibration and logit-scale diagnostics.
   poe serve --pool DIR [--port P] [--max-requests N] [--workers N]
             [--trace on|off] [--trace-out PATH] [--slow-query-ms N]
-            [--metrics-every N] [--idle-timeout-ms N] [--queue-capacity N]
+            [--metrics-every N] [--idle-timeout-ms N]
             [--max-conn-requests N] [--drain-deadline-ms N]
             [--max-batch N] [--batch-delay-us N]
             [--recorder-events N] [--recorder-dir DIR]
-            [--resident-experts N] [--net threads|epoll]
+            [--resident-experts N]
       TCP model-query server (line protocol: INFO / QUERY t,… /
       PREDICT t,… : f1 f2 … / SWAP t / STATS /
       METRICS [json|openmetrics] / TRACE on|off / DUMP / HEALTH /
       SHUTDOWN / QUIT — see docs/PROTOCOL.md). Port 0 picks an
-      ephemeral port. Up to N
-      connections are served concurrently (default 4) from a bounded
-      accept queue (--queue-capacity, default 128); when the queue is
-      full new connections are shed with `ERR busy`. Repeated task sets
-      are answered from the consolidation cache, STATS reports
+      ephemeral port. Linux only (x86-64, aarch64): one epoll event
+      loop holds every connection and answers INFO, HEALTH and QUERYs
+      for cached task sets itself; every other line runs on one of
+      --workers N dispatch threads (default 4). A PREDICT waiting for its
+      micro-batch holds its worker for up to --batch-delay-us. Past
+      16384 open connections new ones are shed with `ERR busy`.
+      Repeated task sets are answered from the consolidation cache,
+      STATS reports
       assembly-latency percentiles, METRICS dumps the full JSON snapshot
       (or Prometheus/OpenMetrics text with `METRICS openmetrics`).
       --trace starts span collection enabled; --trace-out streams every
@@ -86,17 +89,13 @@ USAGE
       to load (e.g. checksum
       mismatch) the server starts degraded: HEALTH reports ready=0 with
       the load error and data verbs answer `ERR not ready`. Failure modes
-      and the runbook live in docs/OPERATIONS.md. --net selects the
-      connection backend: `threads` (default; one thread per
-      connection, portable) or `epoll` (single readiness event loop
-      over raw epoll, Linux only; scales to tens of thousands of idle
-      connections). POE_NET=threads|epoll sets the default.
+      and the runbook live in docs/OPERATIONS.md.
   poe route --shards SPEC [--port P] [--call-timeout-ms N] [--request-budget-ms N]
             [--retries N] [--backoff-base-ms N] [--backoff-cap-ms N]
             [--breaker-failures N] [--breaker-cooldown-ms N]
             [--hedge-ms N|auto|off] [--health-ttl-ms N] [--seed N]
             [--idle-timeout-ms N] [--drain-deadline-ms N] [--max-requests N]
-            [--recorder-dir DIR] [--net threads|epoll]
+            [--recorder-dir DIR]
       Sharded scatter/gather front tier over a fleet of `poe serve`
       backends. SPEC maps task-id ranges to replicated shard addresses,
       e.g. `0-9=10.0.0.1:7878|10.0.0.2:7878;10-19=10.0.0.3:7878`
@@ -116,9 +115,10 @@ USAGE
       after a fixed delay (`auto` derives it from the observed p99 shard
       latency; default off). When a shard stays down past its budget,
       PREDICT degrades to `OK partial` over the surviving slices. --seed
-      pins the backoff jitter for reproducible runs. --net selects the
-      connection backend (`threads`/`epoll`, as for `poe serve`). See
-      docs/PROTOCOL.md § The router tier and the OPERATIONS.md runbook.
+      pins the backoff jitter for reproducible runs. Linux only, on the
+      same event loop as `poe serve`; each request is scattered from one
+      of 8 dispatch threads. See docs/PROTOCOL.md § The router tier and
+      the OPERATIONS.md runbook.
   poe loadgen --addr HOST:PORT [--duration-ms N] [--seed N] [--tenants SPEC]
               [--catalog N] [--zipf S] [--requests-per-conn N]
               [--report PATH] [--p99-ms MS] [--max-error-rate R]
@@ -392,16 +392,6 @@ fn cmd_diagnose(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a `--net threads|epoll` value (absent = `POE_NET` env, then
-/// `threads`). Shared by `poe serve` and `poe route`.
-fn parse_net_flag(a: &Args) -> Result<serve::NetBackend, String> {
-    match a.get("net") {
-        None => Ok(serve::NetBackend::from_env()),
-        Some(v) => serve::NetBackend::parse(v)
-            .ok_or_else(|| format!("--net `{v}` is not `threads` or `epoll`")),
-    }
-}
-
 /// Parses a `--trace on|off` value (absent = `false`).
 fn parse_trace_flag(a: &Args) -> Result<bool, String> {
     match a.get("trace") {
@@ -426,7 +416,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     if workers == 0 {
         return Err("--workers must be ≥ 1".into());
     }
-    let net = parse_net_flag(a)?;
     let trace_on = parse_trace_flag(a)?;
     let slow_ms = a
         .get_parsed("slow-query-ms", 0u64, "u64")
@@ -436,9 +425,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let idle_timeout_ms = a
         .get_parsed("idle-timeout-ms", 30_000u64, "u64")
-        .map_err(|e| e.to_string())?;
-    let queue_capacity = a
-        .get_parsed("queue-capacity", 128usize, "usize")
         .map_err(|e| e.to_string())?;
     let max_conn_requests = a
         .get_parsed("max-conn-requests", 0u64, "u64")
@@ -538,13 +524,12 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     }
     let listener = std::net::TcpListener::bind(("127.0.0.1", port)).map_err(|e| e.to_string())?;
     println!(
-        "serving pool {dir} on {} (input dim {input_dim}, {workers} workers, net={}, trace={}, \
-         slow-query-ms={slow_ms}, idle-timeout-ms={idle_timeout_ms}, \
-         queue-capacity={queue_capacity}) — protocol: INFO | QUERY t,… | \
+        "serving pool {dir} on {} (epoll event loop, input dim {input_dim}, {workers} workers, \
+         trace={}, slow-query-ms={slow_ms}, idle-timeout-ms={idle_timeout_ms}) — \
+         protocol: INFO | QUERY t,… | \
          PREDICT t,… : f1 f2 … | STATS | METRICS | TRACE on|off | HEALTH | \
          SHUTDOWN | QUIT (docs/PROTOCOL.md)",
         listener.local_addr().map_err(|e| e.to_string())?,
-        net.name(),
         if trace_on { "on" } else { "off" },
     );
     let server = serve::ServeConfig::builder()
@@ -558,7 +543,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         } else {
             max_conn_requests
         })
-        .queue_capacity(queue_capacity)
         .drain_deadline(std::time::Duration::from_millis(drain_deadline_ms))
         .pool_error(pool_error)
         .metrics_on_shutdown(true)
@@ -566,7 +550,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         .batch_delay(std::time::Duration::from_micros(batch_delay_us))
         .recorder_events(recorder_events)
         .recorder_dir(recorder_dir)
-        .net(net)
         .start(listener, std::sync::Arc::clone(&service), input_dim)
         .map_err(|e| e.to_string())?;
     let report = server.join().map_err(|e| e.to_string())?;
@@ -630,7 +613,6 @@ fn cmd_route(a: &Args) -> Result<(), String> {
         .get_parsed("max-requests", u64::MAX, "u64")
         .map_err(|e| e.to_string())?;
     let recorder_dir = a.get("recorder-dir").map(std::path::PathBuf::from);
-    let net = parse_net_flag(a)?;
     let hedge = match a.get("hedge-ms") {
         None => poe_router::Hedge::Off,
         Some(v) if v.eq_ignore_ascii_case("off") => poe_router::Hedge::Off,
@@ -672,16 +654,15 @@ fn cmd_route(a: &Args) -> Result<(), String> {
         )
         .drain_deadline(std::time::Duration::from_millis(drain_deadline_ms))
         .recorder_dir(recorder_dir)
-        .net(net)
         .build();
     let listener = std::net::TcpListener::bind(("127.0.0.1", port)).map_err(|e| e.to_string())?;
     println!(
-        "routing {} shards on {} (net={}, hedge={:?}, retries={retries}, budget={budget_ms}ms) — \
+        "routing {} shards on {} (epoll event loop, hedge={:?}, retries={retries}, \
+         budget={budget_ms}ms) — \
          protocol: INFO | QUERY t,… | PREDICT t,… : f1 f2 … | LOGITS t,… : f1 f2 … | \
          HEALTH | METRICS | DUMP | SHUTDOWN | QUIT (docs/PROTOCOL.md)",
         map.num_shards(),
         listener.local_addr().map_err(|e| e.to_string())?,
-        net.name(),
         cfg.router.hedge,
     );
     let server =

@@ -5,30 +5,25 @@
 //! static [`ShardMap`] of `poe serve` backends and merging the logit
 //! slices at the edge. All the robustness machinery — retries, hedging,
 //! circuit breakers, partial degradation — lives in `poe-router`
-//! ([`Router`]); this module is the TCP shell around it: bounded line
-//! reads, idle timeouts, graceful drain, and the verb → response-line
+//! ([`Router`]); this module is the line handler the `poe-net` event
+//! loop drives (the same loop as `poe serve`, which owns line reads,
+//! idle timeouts and the drain), plus the verb → response-line
 //! rendering.
 //!
-//! A router connection is handled by its own thread (the tier is
-//! I/O-bound fan-out, not CPU work, so a worker pool buys nothing), and
+//! Every request line is scattered from one of [`RouteConfig::workers`]
+//! dispatch threads, since each one waits on shard round trips.
 //! `SHUTDOWN` drains in-flight scatters before the backend connections
-//! are closed — a client mid-`PREDICT` gets its answer, then the
-//! sockets go away.
+//! are closed — a client mid-`PREDICT` gets its answer, then the sockets
+//! go away.
 
-use crate::serve::{jittered_retry_after_ms, NetBackend};
 use crate::wire::{self, MetricsFormat, Request, WireError};
-use poe_net::{
-    send_line, After, ConnToken, EventLoop, LineReader, LoopConfig, NetEvent, NetService,
-    ReadOutcome, Refusal,
-};
+use poe_net::{After, EventLoop, LoopConfig, LoopHandle, NetEvent, NetService, Refusal};
 use poe_router::{join, GatherError, Router, RouterConfig, ShardMap};
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Front-tier tuning knobs. The scatter/gather engine has its own
 /// [`RouterConfig`] nested inside.
@@ -50,14 +45,10 @@ pub struct RouteConfig {
     pub retry_after_ms: u64,
     /// Dump the flight recorder here on shutdown (and for `DUMP`).
     pub recorder_dir: Option<PathBuf>,
-    /// Transport backend (`--net threads|epoll`); the default honors
-    /// `POE_NET`, same as `poe serve`.
-    pub net: NetBackend,
-    /// Dispatch worker threads for the epoll backend (the threads
-    /// backend is one thread per connection and ignores this).
+    /// Dispatch worker threads: one scatter/gather in flight each.
     pub workers: usize,
-    /// Concurrent-connection cap for the epoll backend; excess
-    /// connections are shed with `ERR busy`.
+    /// Concurrent-connection cap; excess connections are shed with
+    /// `ERR busy`.
     pub max_conns: usize,
 }
 
@@ -71,7 +62,6 @@ impl Default for RouteConfig {
             drain_deadline: Duration::from_millis(5_000),
             retry_after_ms: 100,
             recorder_dir: None,
-            net: NetBackend::from_env(),
             workers: 8,
             max_conns: crate::serve::DEFAULT_MAX_CONNS,
         }
@@ -141,19 +131,13 @@ impl RouteConfigBuilder {
         self
     }
 
-    /// Transport backend (`threads` or `epoll`).
-    pub fn net(mut self, net: NetBackend) -> Self {
-        self.cfg.net = net;
-        self
-    }
-
-    /// Dispatch worker threads for the epoll backend (clamped to ≥ 1).
+    /// Dispatch worker threads (clamped to ≥ 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.workers = n.max(1);
         self
     }
 
-    /// Concurrent-connection cap for the epoll backend.
+    /// Concurrent-connection cap.
     pub fn max_conns(mut self, n: usize) -> Self {
         self.cfg.max_conns = n;
         self
@@ -179,29 +163,20 @@ pub struct RouteReport {
     pub drain_timed_out: bool,
 }
 
+/// The front tier's shared state; it is also the event loop's line
+/// handler ([`NetService`]).
 struct RouteShared {
     router: Router,
     cfg: RouteConfig,
     addr: SocketAddr,
     draining: AtomicBool,
     handled: AtomicU64,
-    /// Requests currently between read and response-written (the drain
-    /// waits for this to hit zero before closing backends).
+    /// Requests currently being scattered (reported by `HEALTH`).
     inflight: AtomicUsize,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
-    conns_alive: AtomicUsize,
-    accept_error: Mutex<Option<std::io::Error>>,
-    /// Set once when the epoll backend starts; shutdown and force-close
-    /// route through the event loop instead of the conns map.
-    net_handle: OnceLock<poe_net::LoopHandle>,
+    net: LoopHandle,
 }
 
 impl RouteShared {
-    fn lock_conns(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn trigger_shutdown(&self) {
         if self.draining.swap(true, Ordering::AcqRel) {
             return;
@@ -210,34 +185,54 @@ impl RouteShared {
             .obs()
             .flight
             .record("router.drain.begin", String::new());
-        if let Some(h) = self.net_handle.get() {
-            h.shutdown();
-        } else {
-            // Wake the acceptor out of its blocking accept().
-            let _ = TcpStream::connect(self.addr);
+        self.net.shutdown();
+    }
+}
+
+impl NetService for RouteShared {
+    fn handle(&self, line: &str) -> (String, After) {
+        self.inflight.fetch_add(1, Ordering::AcqRel);
+        let rid = poe_obs::next_request_id();
+        let flight = &self.router.obs().flight;
+        flight.record_for(rid, "request.start", format!("line={line}"));
+        let (reply, after) = respond_route(self, line, rid);
+        flight.record_for(
+            rid,
+            "request.end",
+            format!("outcome={}", reply.split(' ').next().unwrap_or("?")),
+        );
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        if after == After::Shutdown {
+            self.trigger_shutdown();
+        }
+        (reply, after)
+    }
+
+    fn refusal_line(&self, refusal: Refusal) -> String {
+        WireError::refusal(refusal, self.cfg.max_line_bytes, self.cfg.retry_after_ms).line()
+    }
+
+    fn on_event(&self, event: NetEvent) {
+        if event == NetEvent::AcceptFailed {
+            // The listener died: drain, and let `join` surface the loop
+            // report's accept error.
+            self.trigger_shutdown();
         }
     }
 
-    fn force_close_conns(&self) {
-        if let Some(h) = self.net_handle.get() {
-            h.force_close();
-            return;
-        }
-        for stream in self.lock_conns().values() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+    fn on_response_written(&self) {
+        let handled = self.handled.fetch_add(1, Ordering::AcqRel) + 1;
+        if handled >= self.cfg.max_requests {
+            self.trigger_shutdown();
         }
     }
 }
 
-/// A running router front tier: either an acceptor plus one thread per
-/// connection (threads backend), or a `poe-net` event loop feeding a
-/// dispatch pool (epoll backend).
+/// A running router front tier: a `poe-net` event loop whose dispatch
+/// pool runs the scatter/gather engine.
 pub struct RouteServer {
     shared: Arc<RouteShared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    event_loop: Option<EventLoop>,
-    dispatchers: Vec<std::thread::JoinHandle<()>>,
-    net_svc: Option<Arc<RouteNetService>>,
+    event_loop: EventLoop,
 }
 
 /// A cloneable remote control for a [`RouteServer`].
@@ -265,112 +260,41 @@ impl RouteHandle {
 }
 
 impl RouteServer {
-    /// Binds the front tier to `listener` and starts accepting.
+    /// Starts the front tier's event loop and dispatch pool on
+    /// `listener`. Fails with `Unsupported` where `poe-net` has no event
+    /// loop (anything but Linux on x86-64 or aarch64).
     pub fn start(
         listener: TcpListener,
         map: ShardMap,
         cfg: RouteConfig,
     ) -> std::io::Result<RouteServer> {
         let addr = listener.local_addr()?;
-        let obs = poe_obs::Observability::new();
-        let net = if cfg.net == NetBackend::Epoll && poe_net::epoll_supported() {
-            NetBackend::Epoll
-        } else {
-            NetBackend::Threads
-        };
-        let workers_n = cfg.workers.max(1);
-        let router = Router::new(map, cfg.router, obs);
-        router.obs().flight.record(
+        let router = Router::new(map, cfg.router, poe_obs::Observability::new());
+        let obs = router.obs();
+        obs.flight.record(
             "router.start",
-            format!(
-                "addr={addr} shards={} net={}",
-                router.map().num_shards(),
-                net.name()
-            ),
+            format!("addr={addr} shards={}", router.map().num_shards()),
         );
-        let shared = Arc::new(RouteShared {
+        let loop_cfg = LoopConfig {
+            max_line_bytes: cfg.max_line_bytes,
+            idle_timeout: cfg.idle_timeout,
+            max_conns: cfg.max_conns.max(1),
+            max_conn_requests: u64::MAX,
+            drain_deadline: cfg.drain_deadline,
+            workers: cfg.workers.max(1),
+            metrics: Some(poe_net::NetMetrics::register(&obs.registry)),
+            flight: Some(Arc::clone(&obs.flight)),
+        };
+        let (event_loop, shared) = EventLoop::start(listener, loop_cfg, |net| RouteShared {
             router,
             cfg,
             addr,
             draining: AtomicBool::new(false),
             handled: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            conns_alive: AtomicUsize::new(0),
-            accept_error: Mutex::new(None),
-            net_handle: OnceLock::new(),
-        });
-        if net == NetBackend::Epoll {
-            return RouteServer::start_epoll(listener, shared, workers_n);
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("poe-route-acceptor".into())
-                .spawn(move || acceptor_loop(listener, shared))
-                .expect("spawn route acceptor")
-        };
-        Ok(RouteServer {
-            shared,
-            acceptor: Some(acceptor),
-            event_loop: None,
-            dispatchers: Vec::new(),
-            net_svc: None,
-        })
-    }
-
-    /// The epoll variant: the event loop owns every client socket; the
-    /// dispatch pool runs the scatter/gather engine.
-    fn start_epoll(
-        listener: TcpListener,
-        shared: Arc<RouteShared>,
-        workers_n: usize,
-    ) -> std::io::Result<RouteServer> {
-        let obs = shared.router.obs();
-        let loop_cfg = LoopConfig {
-            max_line_bytes: shared.cfg.max_line_bytes,
-            idle_timeout: shared.cfg.idle_timeout,
-            max_conns: shared.cfg.max_conns.max(1),
-            max_conn_requests: u64::MAX,
-            drain_deadline: shared.cfg.drain_deadline,
-            metrics: Some(poe_net::NetMetrics::register(&obs.registry)),
-            flight: Some(Arc::clone(&obs.flight)),
-        };
-        let (tx, rx) = channel::<(ConnToken, String)>();
-        let svc = Arc::new(RouteNetService {
-            shared: Arc::clone(&shared),
-            tx: Mutex::new(Some(tx)),
-            completions: OnceLock::new(),
-        });
-        let event_loop = EventLoop::start(listener, svc.clone(), loop_cfg)?;
-        let handle = event_loop.handle();
-        svc.completions
-            .set(handle.completions())
-            .expect("completions set once");
-        shared
-            .net_handle
-            .set(handle)
-            .expect("one event loop per route server");
-        let rx = Arc::new(Mutex::new(rx));
-        let mut dispatchers = Vec::with_capacity(workers_n);
-        for i in 0..workers_n {
-            let rx = Arc::clone(&rx);
-            let svc = Arc::clone(&svc);
-            dispatchers.push(
-                std::thread::Builder::new()
-                    .name(format!("poe-route-dispatch-{i}"))
-                    .spawn(move || route_dispatch_worker(rx, svc))
-                    .expect("spawn route dispatch worker"),
-            );
-        }
-        Ok(RouteServer {
-            shared,
-            acceptor: None,
-            event_loop: Some(event_loop),
-            dispatchers,
-            net_svc: Some(svc),
-        })
+            net,
+        })?;
+        Ok(RouteServer { shared, event_loop })
     }
 
     /// A cloneable control handle (usable from other threads).
@@ -390,338 +314,33 @@ impl RouteServer {
         &self.shared.router
     }
 
-    /// Blocks until the request budget is spent or a shutdown is
-    /// requested, then drains: in-flight requests finish (within the
-    /// drain deadline), backend connections close, client connections
-    /// close, threads join.
-    pub fn join(mut self) -> std::io::Result<RouteReport> {
-        while !self.shared.draining.load(Ordering::Acquire)
-            && self.shared.handled.load(Ordering::Acquire) < self.shared.cfg.max_requests
-            && self
-                .shared
-                .accept_error
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_none()
-        {
+    /// Blocks until the request budget is spent, the listener dies, or a
+    /// shutdown is requested (each starts the drain), then drains:
+    /// in-flight scatters finish (within the drain deadline) and the
+    /// client connections close, the dispatch pool stops, and only then
+    /// do the backend connections close.
+    pub fn join(self) -> std::io::Result<RouteReport> {
+        while !self.shared.draining.load(Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        self.shared.trigger_shutdown();
-
-        let mut drain_timed_out = false;
-        if let Some(event_loop) = self.event_loop.take() {
-            // Epoll: the loop's own drain lets in-flight scatters finish
-            // (a client mid-PREDICT gets its answer) and force-closes
-            // stragglers at its deadline; only after it exits do the
-            // backend sockets close and the dispatch pool stop.
-            let report = event_loop.join();
-            drain_timed_out = report.drain_timed_out;
-            if let Some(msg) = report.accept_error {
-                let mut slot = self
-                    .shared
-                    .accept_error
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                if slot.is_none() {
-                    *slot = Some(std::io::Error::other(msg));
-                }
-            }
-            self.shared.router.close_backends();
-            if let Some(svc) = self.net_svc.take() {
-                svc.close();
-            }
-            for d in self.dispatchers.drain(..) {
-                let _ = d.join();
-            }
-        } else {
-            // Threads drain order matters: first let in-flight scatters
-            // finish, only then close the backend sockets, and last
-            // force the client connections shut.
-            let deadline = Instant::now() + self.shared.cfg.drain_deadline;
-            while self.shared.inflight.load(Ordering::Acquire) > 0 {
-                if Instant::now() >= deadline {
-                    drain_timed_out = true;
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            self.shared.router.close_backends();
-            self.shared.force_close_conns();
-            while self.shared.conns_alive.load(Ordering::Acquire) > 0 {
-                if Instant::now() >= deadline + Duration::from_millis(500) {
-                    break; // belt and braces; threads die with their sockets
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        let report = self.event_loop.join();
+        self.shared.router.close_backends();
+        let handled = self.shared.handled.load(Ordering::Acquire);
         let flight = &self.shared.router.obs().flight;
-        flight.record(
-            "router.shutdown",
-            format!("handled={}", self.shared.handled.load(Ordering::Acquire)),
-        );
+        flight.record("router.shutdown", format!("handled={handled}"));
         if let Some(dir) = &self.shared.cfg.recorder_dir {
             match flight.dump_to_dir(dir) {
                 Ok(path) => eprintln!("flight recorder dumped to {}", path.display()),
                 Err(e) => eprintln!("flight recorder dump failed: {e}"),
             }
         }
-        if let Some(e) = self
-            .shared
-            .accept_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            return Err(e);
+        if let Some(msg) = report.accept_error {
+            return Err(std::io::Error::other(msg));
         }
         Ok(RouteReport {
-            handled: self.shared.handled.load(Ordering::Acquire),
-            drain_timed_out,
+            handled,
+            drain_timed_out: report.drain_timed_out,
         })
-    }
-}
-
-fn acceptor_loop(listener: TcpListener, shared: Arc<RouteShared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.draining.load(Ordering::Acquire) {
-                    break; // the shutdown wake-up (or a late client)
-                }
-                shared.conns_alive.fetch_add(1, Ordering::AcqRel);
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("poe-route-conn".into())
-                    .spawn(move || {
-                        handle_conn(stream, &shared);
-                        shared.conns_alive.fetch_sub(1, Ordering::AcqRel);
-                    });
-            }
-            Err(e) => {
-                *shared
-                    .accept_error
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = Some(e);
-                break;
-            }
-        }
-    }
-}
-
-fn handle_conn(stream: TcpStream, shared: &Arc<RouteShared>) {
-    let cfg = &shared.cfg;
-    let _ = stream.set_nodelay(true);
-    if let Some(t) = cfg.idle_timeout {
-        let _ = stream.set_read_timeout(Some(t));
-        let _ = stream.set_write_timeout(Some(t));
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let conn_id = shared.next_conn.fetch_add(1, Ordering::AcqRel);
-    if let Ok(registered) = stream.try_clone() {
-        shared.lock_conns().insert(conn_id, registered);
-    }
-    let mut reader = LineReader::new(stream, cfg.max_line_bytes);
-    loop {
-        if shared.draining.load(Ordering::Acquire) {
-            let refusal = WireError::ShuttingDown {
-                retry_after_ms: jittered_retry_after_ms(cfg.retry_after_ms),
-            };
-            let _ = send_line(&mut writer, &refusal.line());
-            break;
-        }
-        let line = match reader.read_line() {
-            ReadOutcome::Line(l) => l,
-            ReadOutcome::TooLong => {
-                let oversize = WireError::LineTooLong {
-                    max_bytes: cfg.max_line_bytes,
-                };
-                let _ = send_line(&mut writer, &oversize.line());
-                break;
-            }
-            ReadOutcome::TimedOut => {
-                let _ = send_line(&mut writer, &WireError::IdleTimeout.line());
-                break;
-            }
-            ReadOutcome::Closed => break,
-        };
-        shared.inflight.fetch_add(1, Ordering::AcqRel);
-        // Re-check after the increment is visible: a request being read
-        // when the drain triggered can pass the loop-top check while
-        // join() observes inflight==0 and starts closing backends; it
-        // must refuse here rather than scatter against dying sockets.
-        if shared.draining.load(Ordering::Acquire) {
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            let refusal = WireError::ShuttingDown {
-                retry_after_ms: jittered_retry_after_ms(cfg.retry_after_ms),
-            };
-            let _ = send_line(&mut writer, &refusal.line());
-            break;
-        }
-        let rid = poe_obs::next_request_id();
-        let flight = Arc::clone(&shared.router.obs().flight);
-        flight.record_for(rid, "request.start", format!("line={line}"));
-        let action = respond_route(shared, &line, rid);
-        let write_ok = send_line(&mut writer, action.line()).is_ok();
-        flight.record_for(
-            rid,
-            "request.end",
-            format!("outcome={}", action.line().split(' ').next().unwrap_or("?")),
-        );
-        shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        let handled = shared.handled.fetch_add(1, Ordering::AcqRel) + 1;
-        if handled >= shared.cfg.max_requests {
-            shared.trigger_shutdown();
-        }
-        match action {
-            Action::Reply(_) if write_ok => {}
-            Action::Reply(_) => break,
-            Action::Close(_) => break,
-            Action::Shutdown(_) => {
-                shared.trigger_shutdown();
-                break;
-            }
-        }
-    }
-    shared.lock_conns().remove(&conn_id);
-}
-
-/// The router front tier seen from the `poe-net` event loop.
-struct RouteNetService {
-    shared: Arc<RouteShared>,
-    /// Dispatch queue into the worker pool; dropped to stop the workers.
-    tx: Mutex<Option<Sender<(ConnToken, String)>>>,
-    completions: OnceLock<poe_net::Completions>,
-}
-
-impl RouteNetService {
-    fn close(&self) {
-        self.tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-    }
-
-    fn completions(&self) -> &poe_net::Completions {
-        self.completions.get().expect("loop started")
-    }
-}
-
-impl NetService for RouteNetService {
-    fn dispatch(&self, conn: ConnToken, line: String) {
-        let sent = match &*self.tx.lock().unwrap_or_else(PoisonError::into_inner) {
-            Some(tx) => tx.send((conn, line)).is_ok(),
-            None => false,
-        };
-        if !sent {
-            self.completions()
-                .complete(conn, String::new(), After::Abort);
-        }
-    }
-
-    fn refusal_line(&self, refusal: Refusal) -> String {
-        let cfg = &self.shared.cfg;
-        match refusal {
-            Refusal::Busy => WireError::Busy {
-                retry_after_ms: jittered_retry_after_ms(cfg.retry_after_ms),
-            }
-            .line(),
-            Refusal::LineTooLong => WireError::LineTooLong {
-                max_bytes: cfg.max_line_bytes,
-            }
-            .line(),
-            Refusal::IdleTimeout => WireError::IdleTimeout.line(),
-            Refusal::ConnRequestLimit => WireError::ConnRequestLimit.line(),
-            Refusal::ShuttingDown => WireError::ShuttingDown {
-                retry_after_ms: jittered_retry_after_ms(cfg.retry_after_ms),
-            }
-            .line(),
-        }
-    }
-
-    fn on_event(&self, event: NetEvent) {
-        if event == NetEvent::AcceptFailed {
-            // The listener died: drain, and let `join` surface the loop
-            // report's accept error.
-            self.shared.trigger_shutdown();
-        }
-    }
-
-    fn on_response_written(&self, _conn: ConnToken) {
-        let shared = &self.shared;
-        let handled = shared.handled.fetch_add(1, Ordering::AcqRel) + 1;
-        if handled >= shared.cfg.max_requests {
-            shared.trigger_shutdown();
-        }
-    }
-}
-
-/// One dispatch worker of the epoll route backend: runs the identical
-/// per-request pipeline as `handle_conn` (flight events, scatter/gather,
-/// drain re-check), scoped to a request instead of a connection.
-fn route_dispatch_worker(rx: Arc<Mutex<Receiver<(ConnToken, String)>>>, svc: Arc<RouteNetService>) {
-    let shared = &svc.shared;
-    loop {
-        let (conn, line) = {
-            let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match rx.recv() {
-                Ok(x) => x,
-                Err(_) => break, // queue closed: server is done
-            }
-        };
-        shared.inflight.fetch_add(1, Ordering::AcqRel);
-        // A line dispatched just before the drain triggered must refuse
-        // rather than scatter against closing backend sockets — the
-        // same re-check the threads backend does after its increment.
-        let (reply, after) = if shared.draining.load(Ordering::Acquire) {
-            let refusal = WireError::ShuttingDown {
-                retry_after_ms: jittered_retry_after_ms(shared.cfg.retry_after_ms),
-            };
-            (refusal.line(), After::Close)
-        } else {
-            let rid = poe_obs::next_request_id();
-            let flight = Arc::clone(&shared.router.obs().flight);
-            flight.record_for(rid, "request.start", format!("line={line}"));
-            let action = respond_route(shared, &line, rid);
-            flight.record_for(
-                rid,
-                "request.end",
-                format!("outcome={}", action.line().split(' ').next().unwrap_or("?")),
-            );
-            match action {
-                Action::Reply(l) => (l, After::Reply),
-                Action::Close(l) => (l, After::Close),
-                Action::Shutdown(l) => (l, After::Shutdown),
-            }
-        };
-        shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        if after == After::Shutdown {
-            shared.trigger_shutdown();
-        }
-        svc.completions().complete(conn, reply, after);
-    }
-}
-
-/// One request's rendered outcome.
-enum Action {
-    /// Answer and keep the connection open.
-    Reply(String),
-    /// Answer and close this connection (`QUIT`).
-    Close(String),
-    /// Answer, then begin the drain (`SHUTDOWN`).
-    Shutdown(String),
-}
-
-impl Action {
-    fn line(&self) -> &str {
-        match self {
-            Action::Reply(l) | Action::Close(l) | Action::Shutdown(l) => l,
-        }
     }
 }
 
@@ -734,18 +353,21 @@ const ROUTER_VERBS: [&str; 9] = [
 ];
 
 /// Renders one request line against the engine. Split out of the
-/// connection loop so unit tests can drive verbs without sockets.
-fn respond_route(shared: &RouteShared, line: &str, rid: u64) -> Action {
+/// line handler so unit tests can drive verbs without sockets.
+fn respond_route(shared: &RouteShared, line: &str, rid: u64) -> (String, After) {
     // The router pre-filters on the raw verb token: shard-only verbs must
     // render `unknown verb` with the client's original casing, exactly as
     // an unrecognized token would.
     let verb_raw = wire::split_verb(line).0;
     if !verb_raw.is_empty() && !ROUTER_VERBS.contains(&verb_raw.to_ascii_uppercase().as_str()) {
-        return Action::Reply(WireError::UnknownVerb(verb_raw.to_string()).line());
+        return (
+            WireError::UnknownVerb(verb_raw.to_string()).line(),
+            After::Reply,
+        );
     }
     let request = match wire::parse_request(line) {
         Ok(r) => r,
-        Err(e) => return Action::Reply(e.line()),
+        Err(e) => return (e.line(), After::Reply),
     };
     let router = &shared.router;
     let reply = match request {
@@ -828,15 +450,15 @@ fn respond_route(shared: &RouteShared, line: &str, rid: u64) -> Action {
                 Err(e) => WireError::DumpFailed(e.to_string()).line(),
             }
         }
-        Request::Shutdown => return Action::Shutdown("OK shutting down".into()),
-        Request::Quit => return Action::Close("OK bye".into()),
+        Request::Shutdown => return ("OK shutting down".into(), After::Shutdown),
+        Request::Quit => return ("OK bye".into(), After::Close),
         // Filtered above; unreachable by construction, but render the
         // documented error rather than panic if the filter drifts.
         Request::Stats | Request::Trace { .. } | Request::Swap { .. } => {
             WireError::UnknownVerb(verb_raw.to_string()).line()
         }
     };
-    Action::Reply(reply)
+    (reply, After::Reply)
 }
 
 fn gather_err_line(e: GatherError) -> String {
@@ -875,12 +497,12 @@ fn health_line(shared: &RouteShared) -> String {
 mod tests {
     use super::*;
 
-    fn test_shared(spec: &str) -> RouteShared {
-        let map = ShardMap::parse(spec).unwrap();
+    /// A started front tier over shards nobody listens on. Nothing
+    /// listens on the shard addresses: keep the budget tiny so
+    /// unavailability is decided fast.
+    fn test_server(spec: &str) -> RouteServer {
         let cfg = RouteConfig {
             router: RouterConfig {
-                // Nothing listens on the test addresses: keep the
-                // budget tiny so unavailability is decided fast.
                 call_timeout: Duration::from_millis(50),
                 budget: Duration::from_millis(100),
                 retry: poe_router::RetryPolicy {
@@ -891,66 +513,53 @@ mod tests {
             },
             ..Default::default()
         };
-        RouteShared {
-            router: Router::new(map, cfg.router, poe_obs::Observability::new()),
-            cfg,
-            addr: "127.0.0.1:0".parse().unwrap(),
-            draining: AtomicBool::new(false),
-            handled: AtomicU64::new(0),
-            inflight: AtomicUsize::new(0),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            conns_alive: AtomicUsize::new(0),
-            accept_error: Mutex::new(None),
-            net_handle: OnceLock::new(),
-        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        RouteServer::start(listener, ShardMap::parse(spec).unwrap(), cfg).unwrap()
+    }
+
+    fn stop(server: RouteServer) {
+        server.handle().shutdown();
+        server.join().unwrap();
     }
 
     #[test]
     fn syntax_errors_render_without_backends() {
-        let s = test_shared("0-9=127.0.0.1:9");
-        assert_eq!(respond_route(&s, "", 1).line(), "ERR empty request");
-        assert!(respond_route(&s, "FROB 1", 1)
-            .line()
-            .starts_with("ERR unknown verb"));
-        assert_eq!(
-            respond_route(&s, "PREDICT 1 2 3", 1).line(),
-            WireError::PredictSyntax.line()
-        );
-        assert_eq!(
-            respond_route(&s, "LOGITS 1", 1).line(),
-            WireError::LogitsSyntax.line()
-        );
-        assert_eq!(
-            respond_route(&s, "QUERY 99", 1).line(),
-            "ERR no shard for task 99"
-        );
-        assert!(matches!(respond_route(&s, "QUIT", 1), Action::Close(_)));
-        assert!(matches!(
-            respond_route(&s, "SHUTDOWN", 1),
-            Action::Shutdown(_)
-        ));
+        let server = test_server("0-9=127.0.0.1:9");
+        let s = &server.shared;
+        let line = |l: &str| respond_route(s, l, 1).0;
+        assert_eq!(line(""), "ERR empty request");
+        assert!(line("FROB 1").starts_with("ERR unknown verb"));
+        assert_eq!(line("PREDICT 1 2 3"), WireError::PredictSyntax.line());
+        assert_eq!(line("LOGITS 1"), WireError::LogitsSyntax.line());
+        assert_eq!(line("QUERY 99"), "ERR no shard for task 99");
+        assert_eq!(respond_route(s, "QUIT", 1).1, After::Close);
+        assert_eq!(respond_route(s, "SHUTDOWN", 1).1, After::Shutdown);
+        stop(server);
     }
 
     #[test]
     fn dead_shard_renders_the_documented_err_row() {
-        let s = test_shared("0-9=127.0.0.1:9");
-        let line = respond_route(&s, "QUERY 1,2", 7).line().to_string();
+        let server = test_server("0-9=127.0.0.1:9");
+        let (line, after) = respond_route(&server.shared, "QUERY 1,2", 7);
         assert!(line.starts_with("ERR shard 0 unavailable: "), "{line}");
+        assert_eq!(after, After::Reply);
+        stop(server);
     }
 
     #[test]
     fn health_reports_router_role_and_aggregate() {
-        let s = test_shared("0-4=127.0.0.1:9;5-9=127.0.0.1:9");
-        let line = health_line(&s);
+        let server = test_server("0-4=127.0.0.1:9;5-9=127.0.0.1:9");
+        let s = &server.shared;
+        let line = health_line(s);
         assert!(
             line.starts_with("OK live=1 ready=0 role=router shards=2"),
             "{line}"
         );
         assert!(line.contains("shards_up=0/2"), "{line}");
         assert!(line.contains("draining=0"), "{line}");
-        s.draining.store(true, Ordering::Release);
-        assert!(health_line(&s).contains("draining=1"));
+        s.trigger_shutdown();
+        assert!(health_line(s).contains("draining=1"));
+        server.join().unwrap();
     }
 
     #[test]

@@ -33,28 +33,34 @@
 //!
 //! ## Fault-tolerance architecture
 //!
-//! Connections are handled by a bounded pool of worker threads fed by a
-//! **bounded** accept queue. The serving substrate degrades instead of
-//! collapsing:
+//! Every connection lives on one `poe-net` readiness event loop, which
+//! owns accept, read framing and write backpressure. The loop answers
+//! the lines that cannot block itself (`INFO`, `HEALTH`, and a `QUERY`
+//! whose task set is already in the consolidation cache); every other
+//! line goes to a pool of [`ServeConfig::workers`] dispatch threads. The
+//! serving substrate degrades instead of collapsing:
 //!
-//! * **Connection hardening** — every connection gets read/write
-//!   deadlines ([`ServeConfig::idle_timeout`]); request lines are read
-//!   through a bounded buffer that answers `ERR line too long` instead of
-//!   growing without limit; a per-connection request cap bounds any
-//!   single client's hold on a worker.
-//! * **Load shedding** — when the accept queue is full the acceptor
-//!   answers `ERR busy retry_after_ms=<n>` and closes immediately: shed,
-//!   don't stall. Shed/timeout/oversize/write-error counters land in the
-//!   service's [`poe_obs`] registry (`serve.*`, visible via `METRICS`).
+//! * **Connection hardening** — a connection with no complete request
+//!   within [`ServeConfig::idle_timeout`] is refused; request lines are
+//!   capped ([`ServeConfig::max_line_bytes`], `ERR line too long` instead
+//!   of unbounded buffering); a per-connection request cap bounds any
+//!   single client.
+//! * **Load shedding** — past [`ServeConfig::max_conns`] open
+//!   connections the loop answers `ERR busy retry_after_ms=<n>` and
+//!   closes immediately: shed, don't stall. Shed/timeout/oversize/
+//!   write-error counters land in the service's [`poe_obs`] registry
+//!   (`serve.*`, visible via `METRICS`).
 //! * **Graceful lifecycle** — `HEALTH` reports liveness and readiness
 //!   (pool loaded, workers alive, shed rate under threshold); `SHUTDOWN`
-//!   (or [`ServerHandle::shutdown`]) stops accepting, drains in-flight
-//!   requests within [`ServeConfig::drain_deadline`], force-closes
-//!   stragglers past it, and joins every worker and acceptor thread
-//!   before [`Server::join`] returns — no thread outlives the server.
-//! * **Crash survival** — worker panics (including [`poe_chaos`]-injected
-//!   ones) are caught per connection; the worker stays alive and the
-//!   panic is counted (`serve.worker_panics`).
+//!   (or [`ServerHandle::shutdown`]) stops accepting, refuses idle
+//!   connections, lets in-flight requests finish within
+//!   [`ServeConfig::drain_deadline`], force-closes stragglers past it,
+//!   and joins the loop and every worker before [`Server::join`] returns
+//!   — no thread outlives the server.
+//! * **Crash survival** — a panic while answering a line (including a
+//!   [`poe_chaos`]-injected one) is contained: that connection is closed
+//!   without an answer, the worker lives on, and the panic is counted
+//!   (`serve.worker_panics`).
 //!
 //! Every request line runs inside a [`poe_obs`] request context: it gets a
 //! process-unique request ID, a `serve.request` span, a per-verb counter,
@@ -73,24 +79,22 @@
 //! a `poe serve` panic, and on demand via the `DUMP` verb, so the last few
 //! thousand events before a crash are always reconstructable.
 
-mod epoll;
-
 use crate::wire::{self, MetricsFormat, Request, WireError};
 use poe_core::pool::QueryError;
 use poe_core::service::QueryService;
 use poe_models::Prediction;
+use poe_net::{After, EventLoop, LoopConfig, LoopHandle, NetEvent, NetService, Refusal};
 use poe_tensor::Tensor;
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Default number of connection-handling worker threads.
+/// Default number of dispatch worker threads.
 pub const DEFAULT_WORKERS: usize = 4;
 
 /// Default cap on one request line, in bytes.
@@ -104,55 +108,8 @@ pub use crate::wire::{parse_tasks, MAX_QUERY_TASKS};
 /// Default cap on samples coalesced into one batched `PREDICT` inference.
 pub const DEFAULT_MAX_BATCH: usize = 32;
 
-/// Default concurrent-connection cap for the epoll backend.
+/// Default concurrent-connection cap.
 pub const DEFAULT_MAX_CONNS: usize = 16 * 1024;
-
-/// Which transport backend serves connections.
-///
-/// Both speak the identical wire protocol (the conformance suite replays
-/// one transcript against each and asserts byte-identical responses);
-/// they differ only in how connections are multiplexed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetBackend {
-    /// Thread-per-connection over a bounded accept queue and worker
-    /// pool. Portable everywhere; concurrency is capped by the pool, so
-    /// it is also the differential-test oracle for the epoll backend.
-    #[default]
-    Threads,
-    /// One `poe-net` readiness event loop owning every socket, with the
-    /// same worker pool reduced to a dispatch stage. Scales to tens of
-    /// thousands of idle connections; Linux (x86-64 / aarch64) only —
-    /// elsewhere it falls back to [`NetBackend::Threads`] at startup.
-    Epoll,
-}
-
-impl NetBackend {
-    /// Parses a `--net` flag value.
-    pub fn parse(s: &str) -> Option<NetBackend> {
-        match s {
-            "threads" => Some(NetBackend::Threads),
-            "epoll" => Some(NetBackend::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The default backend, overridable with `POE_NET=threads|epoll`
-    /// (how CI runs the whole suite against the epoll loop).
-    pub fn from_env() -> NetBackend {
-        match std::env::var("POE_NET") {
-            Ok(v) => NetBackend::parse(&v).unwrap_or_default(),
-            Err(_) => NetBackend::Threads,
-        }
-    }
-
-    /// The flag spelling (`threads` / `epoll`).
-    pub fn name(self) -> &'static str {
-        match self {
-            NetBackend::Threads => "threads",
-            NetBackend::Epoll => "epoll",
-        }
-    }
-}
 
 /// Default micro-batch window in microseconds: how long the first request
 /// of a batch waits for company before a timeout flush.
@@ -162,20 +119,20 @@ pub const DEFAULT_BATCH_DELAY_US: u64 = 1000;
 /// sane lab setup; `docs/OPERATIONS.md` discusses sizing.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Connection-handling worker threads (min 1).
+    /// Dispatch worker threads (min 1): they answer every line the event
+    /// loop does not answer inline. A `PREDICT` parked in a micro-batch
+    /// holds its worker for up to [`ServeConfig::batch_delay`].
     pub workers: usize,
     /// Stop after this many requests (`u64::MAX` = run forever).
     pub max_requests: u64,
-    /// Per-connection read/write deadline; `None` disables (a silent
-    /// client can then pin a worker until shutdown force-closes it).
+    /// Refuse a connection with no complete request line within this
+    /// window; `None` disables (a silent client then stays open until
+    /// the drain refuses it).
     pub idle_timeout: Option<Duration>,
     /// Reject request lines longer than this many bytes.
     pub max_line_bytes: usize,
     /// Close a connection after this many requests (`u64::MAX` = no cap).
     pub max_conn_requests: u64,
-    /// Accepted connections queued ahead of the workers; beyond this the
-    /// acceptor sheds (`ERR busy`) instead of queueing (min 1).
-    pub queue_capacity: usize,
     /// Base for the `retry_after_ms` hint sent with `ERR busy` /
     /// shutdown sheds; each response jitters it into `[base/2, 3*base/2]`
     /// so shed clients don't retry in lockstep.
@@ -208,13 +165,8 @@ pub struct ServeConfig {
     /// final dump there as the server drains; `DUMP` writes there too
     /// (falling back to the OS temp dir when unset).
     pub recorder_dir: Option<PathBuf>,
-    /// Transport backend (`--net threads|epoll`). The default honors the
-    /// `POE_NET` environment variable so the whole test suite can be
-    /// replayed against either backend without touching call sites.
-    pub net: NetBackend,
-    /// Concurrent-connection cap for the epoll backend; connections past
-    /// it are shed with `ERR busy` (the threads backend's equivalent
-    /// knob is `queue_capacity` + `workers`).
+    /// Concurrent-connection cap; connections past it are shed with
+    /// `ERR busy`.
     pub max_conns: usize,
 }
 
@@ -226,7 +178,6 @@ impl Default for ServeConfig {
             idle_timeout: Some(Duration::from_secs(30)),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             max_conn_requests: u64::MAX,
-            queue_capacity: 128,
             retry_after_ms: 100,
             drain_deadline: Duration::from_secs(5),
             shed_rate_threshold: 0.5,
@@ -236,7 +187,6 @@ impl Default for ServeConfig {
             batch_delay: Duration::from_micros(DEFAULT_BATCH_DELAY_US),
             recorder_events: poe_obs::DEFAULT_RECORDER_EVENTS,
             recorder_dir: None,
-            net: NetBackend::from_env(),
             max_conns: DEFAULT_MAX_CONNS,
         }
     }
@@ -258,14 +208,14 @@ impl ServeConfig {
 /// entrypoints, which grew an argument per release; every knob is a
 /// named setter here and unset knobs keep their [`Default`] values.
 /// Out-of-range values are clamped to the nearest legal one (`workers`
-/// and `queue_capacity` to ≥ 1) instead of erroring.
+/// to ≥ 1) instead of erroring.
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
     cfg: ServeConfig,
 }
 
 impl ServeConfigBuilder {
-    /// Connection-handling worker threads (clamped to ≥ 1).
+    /// Dispatch worker threads (clamped to ≥ 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.workers = n.max(1);
         self
@@ -277,7 +227,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-connection read/write deadline; `None` disables it.
+    /// Idle-connection deadline; `None` disables it.
     pub fn idle_timeout(mut self, t: Option<Duration>) -> Self {
         self.cfg.idle_timeout = t;
         self
@@ -292,12 +242,6 @@ impl ServeConfigBuilder {
     /// Close a connection after this many requests (`u64::MAX` = no cap).
     pub fn max_conn_requests(mut self, n: u64) -> Self {
         self.cfg.max_conn_requests = n;
-        self
-    }
-
-    /// Accept-queue depth before the acceptor sheds (clamped to ≥ 1).
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.cfg.queue_capacity = n.max(1);
         self
     }
 
@@ -356,13 +300,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Transport backend (`threads` or `epoll`).
-    pub fn net(mut self, net: NetBackend) -> Self {
-        self.cfg.net = net;
-        self
-    }
-
-    /// Concurrent-connection cap for the epoll backend.
+    /// Concurrent-connection cap.
     pub fn max_conns(mut self, n: usize) -> Self {
         self.cfg.max_conns = n;
         self
@@ -721,47 +659,33 @@ fn batcher_loop(scheduler: Arc<BatchScheduler>) {
     }
 }
 
-/// Progress shared between the acceptor, the workers, and `join`.
-struct ServeState {
-    handled: u64,
-    accept_error: Option<std::io::Error>,
-}
-
+/// The server state every thread shares; it is also the event loop's
+/// line handler ([`NetService`]).
 struct ServerShared {
     cfg: ServeConfig,
     service: Arc<QueryService>,
     input_dim: usize,
     addr: SocketAddr,
-    state: Mutex<ServeState>,
+    /// Responses fully written so far; `join` waits on `cvar`.
+    handled: Mutex<u64>,
     cvar: Condvar,
     draining: AtomicBool,
-    workers_alive: AtomicUsize,
-    /// In-flight connections, so shutdown can force-close stragglers
-    /// (threads backend only; the epoll loop owns its own sockets).
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
     metrics: ServeMetrics,
     /// The micro-batch scheduler; `None` when `cfg.max_batch ≤ 1`.
     batcher: Option<Arc<BatchScheduler>>,
-    /// Set once when the epoll backend starts: `HEALTH`'s `inflight`,
-    /// shutdown, and force-close route through the event loop instead of
-    /// the `conns` map.
-    net_handle: OnceLock<poe_net::LoopHandle>,
+    net: LoopHandle,
 }
 
 impl ServerShared {
-    /// Locks `state`, surviving poisoning (a chaos-injected worker panic
-    /// must not take the whole server down with it).
-    fn lock_state(&self) -> MutexGuard<'_, ServeState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Locks the `handled` count, surviving poisoning (a chaos-injected
+    /// panic must not take the whole server down with it).
+    fn lock_handled(&self) -> MutexGuard<'_, u64> {
+        self.handled.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_conns(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Starts the drain: stop accepting, flush every parked batch, wake
-    /// everyone. Idempotent.
+    /// Starts the drain: flush every parked batch, then let the loop stop
+    /// accepting, refuse idle connections and finish in-flight ones.
+    /// Idempotent.
     fn trigger_shutdown(&self) {
         if self.draining.swap(true, Ordering::AcqRel) {
             return;
@@ -775,34 +699,10 @@ impl ServerShared {
         if let Some(b) = &self.batcher {
             b.drain();
         }
-        if let Some(h) = self.net_handle.get() {
-            // Epoll backend: the loop refuses idle connections, finishes
-            // in-flight ones, and force-closes at its drain deadline.
-            h.shutdown();
-        } else {
-            // Wake the acceptor out of its blocking accept() so it can
-            // see the flag and drop the queue sender.
-            let _ = TcpStream::connect(self.addr);
-        }
+        self.net.shutdown();
+        // Taking the lock orders this wakeup after `join`'s check.
+        drop(self.lock_handled());
         self.cvar.notify_all();
-    }
-
-    fn force_close_conns(&self) {
-        if let Some(h) = self.net_handle.get() {
-            h.force_close();
-            return;
-        }
-        for stream in self.lock_conns().values() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-
-    /// Connections currently registered, whichever backend owns them.
-    fn inflight(&self) -> usize {
-        match self.net_handle.get() {
-            Some(h) => h.connections(),
-            None => self.lock_conns().len(),
-        }
     }
 
     fn shed_rate(&self) -> f64 {
@@ -814,9 +714,83 @@ impl ServerShared {
             shed as f64 / (shed + accepted) as f64
         }
     }
+
+    /// The lines the loop answers itself because they cannot block:
+    /// `INFO`, `HEALTH`, and a `QUERY` whose task set is already in the
+    /// consolidation cache (a hit only clones shared weights). A cache
+    /// entry evicted between this probe and the query makes that one
+    /// query consolidate on the loop thread: slower, still correct.
+    fn answers_inline(&self, line: &str) -> bool {
+        let body = wire::strip_origin(line.trim()).1;
+        let verb = wire::split_verb(body).0;
+        if verb.eq_ignore_ascii_case("INFO") || verb.eq_ignore_ascii_case("HEALTH") {
+            return true;
+        }
+        verb.eq_ignore_ascii_case("QUERY")
+            && matches!(wire::parse_request(body),
+                Ok(Request::Query { tasks }) if self.service.is_cached(&tasks))
+    }
 }
 
-/// A running query server: acceptor + workers, all joined on shutdown.
+impl NetService for ServerShared {
+    fn answer_inline(&self, line: &str) -> Option<(String, After)> {
+        self.answers_inline(line).then(|| self.handle(line))
+    }
+
+    fn handle(&self, line: &str) -> (String, After) {
+        poe_chaos::maybe_panic(poe_chaos::sites::SERVE_WORKER_PANIC);
+        let (response, after) = respond_action(line, &self.service, self.input_dim, Some(self));
+        if after == After::Shutdown {
+            self.trigger_shutdown();
+        }
+        (response, after)
+    }
+
+    fn refusal_line(&self, refusal: Refusal) -> String {
+        let e = WireError::refusal(refusal, self.cfg.max_line_bytes, self.cfg.retry_after_ms);
+        if let WireError::Busy { retry_after_ms } = e {
+            self.service.obs().flight.record_for(
+                0,
+                "shed",
+                format!("retry_after_ms={retry_after_ms}"),
+            );
+        }
+        e.line()
+    }
+
+    fn on_event(&self, event: NetEvent) {
+        let m = &self.metrics;
+        match event {
+            NetEvent::Accepted => m.accepted.inc(),
+            NetEvent::Shed => m.shed.inc(),
+            NetEvent::IdleTimedOut => m.timeouts.inc(),
+            NetEvent::Oversize => m.oversize.inc(),
+            NetEvent::WriteError => m.write_errors.inc(),
+            NetEvent::HandlerPanicked => m.worker_panics.inc(),
+            NetEvent::Closed => {}
+            // The listener died: drain; `join` surfaces the loop report's
+            // accept error.
+            NetEvent::AcceptFailed => self.trigger_shutdown(),
+        }
+    }
+
+    fn on_response_written(&self) {
+        // A response only counts as handled once the loop flushed it.
+        // `join` sleeps until the drain starts, so only the request that
+        // spends the budget wakes it (through `trigger_shutdown`).
+        let n = {
+            let mut handled = self.lock_handled();
+            *handled += 1;
+            *handled
+        };
+        if n >= self.cfg.max_requests {
+            self.trigger_shutdown();
+        }
+    }
+}
+
+/// A running query server: the event loop and its dispatch pool, plus
+/// the batch timer thread, all joined on shutdown.
 ///
 /// [`Server::start`] returns immediately; [`Server::join`] blocks until
 /// the request budget is spent, the listener dies, or a shutdown is
@@ -825,11 +799,8 @@ impl ServerShared {
 /// config and starts the server in one fluent call.
 pub struct Server {
     shared: Arc<ServerShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    event_loop: EventLoop,
     batcher: Option<std::thread::JoinHandle<()>>,
-    /// The running event loop when the epoll backend is active.
-    event_loop: Option<epoll::EpollParts>,
 }
 
 /// A cloneable remote control for a [`Server`] (shutdown, progress).
@@ -853,12 +824,14 @@ impl ServerHandle {
 
     /// Requests answered so far.
     pub fn handled(&self) -> u64 {
-        self.shared.lock_state().handled
+        *self.shared.lock_handled()
     }
 }
 
 impl Server {
-    /// Binds the serving threads to `listener` and starts accepting.
+    /// Starts the event loop and its dispatch pool on `listener`. Fails
+    /// with `Unsupported` where `poe-net` has no event loop (anything but
+    /// Linux on x86-64 or aarch64).
     pub fn start(
         listener: TcpListener,
         service: Arc<QueryService>,
@@ -868,99 +841,51 @@ impl Server {
         let addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
         let metrics = ServeMetrics::register(&service);
-        let flight = &service.obs().flight;
-        flight.set_capacity(cfg.recorder_events);
-        // The epoll loop only exists on Linux x86-64/aarch64; elsewhere
-        // (or when the loop cannot start) fall back to threads so `--net
-        // epoll` degrades instead of failing.
-        let mut net = cfg.net;
-        if net == NetBackend::Epoll && !poe_net::epoll_supported() {
-            flight.record_for(0, "server.net.fallback", "reason=unsupported".to_string());
-            net = NetBackend::Threads;
-        }
-        flight.record_for(
+        let obs = Arc::clone(service.obs());
+        obs.flight.set_capacity(cfg.recorder_events);
+        obs.flight.record_for(
             0,
             "server.start",
             format!(
-                "addr={addr} workers={workers_n} max_batch={} net={}",
-                cfg.max_batch,
-                net.name()
+                "addr={addr} workers={workers_n} max_batch={}",
+                cfg.max_batch
             ),
         );
-        let batch_scheduler = (cfg.max_batch > 1)
+        let batcher = (cfg.max_batch > 1)
             .then(|| Arc::new(BatchScheduler::new(Arc::clone(&service), input_dim, &cfg)));
-        let shared = Arc::new(ServerShared {
+        let loop_cfg = LoopConfig {
+            max_line_bytes: cfg.max_line_bytes,
+            idle_timeout: cfg.idle_timeout,
+            max_conns: cfg.max_conns.max(1),
+            max_conn_requests: cfg.max_conn_requests,
+            drain_deadline: cfg.drain_deadline,
+            workers: workers_n,
+            metrics: Some(poe_net::NetMetrics::register(&obs.registry)),
+            flight: Some(Arc::clone(&obs.flight)),
+        };
+        let (event_loop, shared) = EventLoop::start(listener, loop_cfg, |net| ServerShared {
             cfg,
             service,
             input_dim,
             addr,
-            state: Mutex::new(ServeState {
-                handled: 0,
-                accept_error: None,
-            }),
+            handled: Mutex::new(0),
             cvar: Condvar::new(),
             draining: AtomicBool::new(false),
-            workers_alive: AtomicUsize::new(workers_n),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
             metrics,
-            batcher: batch_scheduler,
-            net_handle: OnceLock::new(),
-        });
-        let batcher_thread = shared.batcher.as_ref().map(|b| {
+            batcher,
+            net,
+        })?;
+        let batcher = shared.batcher.as_ref().map(|b| {
             let b = Arc::clone(b);
             std::thread::Builder::new()
                 .name("poe-serve-batcher".into())
                 .spawn(move || batcher_loop(b))
                 .expect("spawn serve batcher")
         });
-
-        if net == NetBackend::Epoll {
-            match epoll::start(listener, Arc::clone(&shared), workers_n) {
-                Ok((parts, workers)) => {
-                    return Ok(Server {
-                        shared,
-                        workers,
-                        acceptor: None,
-                        batcher: batcher_thread,
-                        event_loop: Some(parts),
-                    });
-                }
-                Err(e) => {
-                    // Startup failed (epoll_create, eventfd, …): the
-                    // listener was consumed, so this is fatal rather
-                    // than a silent downgrade mid-flight.
-                    return Err(e);
-                }
-            }
-        }
-
-        let (conn_tx, conn_rx) = sync_channel::<TcpStream>(shared.cfg.queue_capacity.max(1));
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let mut workers = Vec::with_capacity(workers_n);
-        for i in 0..workers_n {
-            let conn_rx = Arc::clone(&conn_rx);
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("poe-serve-worker-{i}"))
-                    .spawn(move || worker_loop(conn_rx, shared))
-                    .expect("spawn serve worker"),
-            );
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("poe-serve-acceptor".into())
-                .spawn(move || acceptor_loop(listener, conn_tx, shared))
-                .expect("spawn serve acceptor")
-        };
         Ok(Server {
             shared,
-            workers,
-            acceptor: Some(acceptor),
-            batcher: batcher_thread,
-            event_loop: None,
+            event_loop,
+            batcher,
         })
     }
 
@@ -976,77 +901,33 @@ impl Server {
         self.shared.addr
     }
 
-    /// Connections currently being served (not queued ones).
+    /// Connections currently open on the event loop.
     pub fn active_connections(&self) -> usize {
-        self.shared.inflight()
-    }
-
-    /// The transport backend actually serving (after any fallback).
-    pub fn net_backend(&self) -> NetBackend {
-        if self.event_loop.is_some() {
-            NetBackend::Epoll
-        } else {
-            NetBackend::Threads
-        }
+        self.shared.net.connections()
     }
 
     /// Blocks until the server finishes (budget spent, listener error, or
     /// shutdown requested), drains within the configured deadline, joins
     /// every thread, and reports.
     pub fn join(mut self) -> std::io::Result<ServeReport> {
+        // Every way out (budget spent, listener error, SHUTDOWN) starts
+        // the drain first.
         {
-            let mut st = self.shared.lock_state();
-            while st.handled < self.shared.cfg.max_requests
-                && st.accept_error.is_none()
-                && !self.shared.draining.load(Ordering::Acquire)
-            {
-                st = self
+            let mut handled = self.shared.lock_handled();
+            while !self.shared.draining.load(Ordering::Acquire) {
+                handled = self
                     .shared
                     .cvar
-                    .wait(st)
+                    .wait(handled)
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        self.shared.trigger_shutdown();
-
-        let mut drain_timed_out = false;
-        if let Some(parts) = self.event_loop.take() {
-            // Epoll: the loop thread runs the drain itself — refuse idle
-            // connections, finish in-flight ones, force-close stragglers
-            // at its deadline — then exits and reports.
-            let report = parts.join(&self.shared);
-            drain_timed_out = report.drain_timed_out;
-            if drain_timed_out {
-                self.shared.metrics.drain_timeouts.inc();
-            }
-            if let Some(msg) = report.accept_error {
-                let mut st = self.shared.lock_state();
-                if st.accept_error.is_none() {
-                    st.accept_error = Some(std::io::Error::other(msg));
-                }
-            }
-        } else {
-            // Threads: workers exit once the acceptor drops the queue
-            // sender and their current connection ends. Past the
-            // deadline, yank the remaining connections shut so blocked
-            // reads/writes error out.
-            let deadline = Instant::now() + self.shared.cfg.drain_deadline;
-            while self.shared.workers_alive.load(Ordering::Acquire) > 0 {
-                if Instant::now() >= deadline {
-                    if !drain_timed_out {
-                        drain_timed_out = true;
-                        self.shared.metrics.drain_timeouts.inc();
-                    }
-                    self.shared.force_close_conns();
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        // The loop thread runs the drain itself — refuse idle
+        // connections, finish in-flight ones, force-close stragglers at
+        // the deadline — then exits; its pool's workers are joined next.
+        let report = self.event_loop.join();
+        if report.drain_timed_out {
+            self.shared.metrics.drain_timeouts.inc();
         }
         // trigger_shutdown drained the batch queues; the timer thread saw
         // the drained marker and exited.
@@ -1057,12 +938,9 @@ impl Server {
         // The black box's shutdown entry, then the final dump (when a
         // recorder dir is configured) — the post-mortem file an operator
         // reads after an unexplained exit.
+        let handled = *self.shared.lock_handled();
         let flight = &self.shared.service.obs().flight;
-        flight.record_for(
-            0,
-            "server.shutdown",
-            format!("handled={}", self.shared.lock_state().handled),
-        );
+        flight.record_for(0, "server.shutdown", format!("handled={handled}"));
         if let Some(dir) = &self.shared.cfg.recorder_dir {
             match flight.dump_to_dir(dir) {
                 Ok(path) => eprintln!("flight recorder dumped to {}", path.display()),
@@ -1072,182 +950,14 @@ impl Server {
         if self.shared.cfg.metrics_on_shutdown {
             eprintln!("METRICS {}", metrics_json(&self.shared.service));
         }
-        let mut st = self.shared.lock_state();
-        if let Some(e) = st.accept_error.take() {
-            return Err(e);
+        if let Some(msg) = report.accept_error {
+            return Err(std::io::Error::other(msg));
         }
         Ok(ServeReport {
-            handled: st.handled,
-            drain_timed_out,
+            handled,
+            drain_timed_out: report.drain_timed_out,
         })
     }
-}
-
-fn acceptor_loop(listener: TcpListener, conn_tx: SyncSender<TcpStream>, shared: Arc<ServerShared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.draining.load(Ordering::Acquire) {
-                    break; // the shutdown wake-up (or a late client)
-                }
-                match conn_tx.try_send(stream) {
-                    Ok(()) => shared.metrics.accepted.inc(),
-                    Err(TrySendError::Full(stream)) => shed(stream, &shared),
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(e) => {
-                shared.lock_state().accept_error = Some(e);
-                shared.cvar.notify_all();
-                break;
-            }
-        }
-    }
-    // Dropping conn_tx here lets workers drain the queue and exit.
-}
-
-/// Load shedding: the queue is full, so answer `ERR busy` and close —
-/// a fast refusal the client can retry, instead of an unbounded queue.
-fn shed(mut stream: TcpStream, shared: &ServerShared) {
-    shared.metrics.shed.inc();
-    // The hint is jittered per response: a fixed constant would march
-    // every shed client back in lockstep and re-stampede the queue.
-    let retry_after_ms = jittered_retry_after_ms(shared.cfg.retry_after_ms);
-    shared
-        .service
-        .obs()
-        .flight
-        .record_for(0, "shed", format!("retry_after_ms={retry_after_ms}"));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let busy = WireError::Busy { retry_after_ms };
-    let _ = writeln!(stream, "{}", busy.line());
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-fn worker_loop(conn_rx: Arc<Mutex<Receiver<TcpStream>>>, shared: Arc<ServerShared>) {
-    loop {
-        let stream = {
-            let rx = conn_rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match rx.recv() {
-                Ok(s) => s,
-                Err(_) => break, // acceptor gone and queue drained
-            }
-        };
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared.lock_conns().insert(conn_id, clone);
-        }
-        // A panic while serving one connection (a bug — or an injected
-        // chaos fault) kills that connection, not the worker: the thread
-        // survives to serve the next client.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            poe_chaos::maybe_panic(poe_chaos::sites::SERVE_WORKER_PANIC);
-            handle_connection(stream, &shared);
-        }));
-        shared.lock_conns().remove(&conn_id);
-        if outcome.is_err() {
-            shared.metrics.worker_panics.inc();
-            shared.service.obs().flight.record_for(
-                0,
-                "worker.panic",
-                format!("conn={conn_id} contained=1"),
-            );
-            shared.cvar.notify_all();
-        }
-    }
-    shared.workers_alive.fetch_sub(1, Ordering::AcqRel);
-    shared.cvar.notify_all();
-}
-
-/// Writes one response line through the shared [`poe_net::send_line`]
-/// single-syscall framing helper, behind this server's chaos write-fault
-/// site.
-fn send_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    if let Some(e) = poe_chaos::fail_io(poe_chaos::sites::SERVE_WRITE_IO) {
-        return Err(e);
-    }
-    poe_net::send_line(writer, line)
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
-    let cfg = &shared.cfg;
-    let _ = stream.set_nodelay(true);
-    if let Some(t) = cfg.idle_timeout {
-        let _ = stream.set_read_timeout(Some(t));
-        let _ = stream.set_write_timeout(Some(t));
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = poe_net::LineReader::new(stream, cfg.max_line_bytes)
-        .with_stall_site(poe_chaos::sites::SERVE_READ_STALL);
-    let mut conn_requests = 0u64;
-    loop {
-        if shared.draining.load(Ordering::Acquire) {
-            // The drain covers the request in flight; subsequent ones on
-            // a kept-alive connection are refused with a retry hint.
-            let refusal = WireError::ShuttingDown {
-                retry_after_ms: jittered_retry_after_ms(cfg.retry_after_ms),
-            };
-            let _ = send_line(&mut writer, &refusal.line());
-            break;
-        }
-        let line = match reader.read_line() {
-            poe_net::ReadOutcome::Line(l) => l,
-            poe_net::ReadOutcome::TooLong => {
-                shared.metrics.oversize.inc();
-                let oversize = WireError::LineTooLong {
-                    max_bytes: cfg.max_line_bytes,
-                };
-                let _ = send_line(&mut writer, &oversize.line());
-                break;
-            }
-            poe_net::ReadOutcome::TimedOut => {
-                shared.metrics.timeouts.inc();
-                let _ = send_line(&mut writer, &WireError::IdleTimeout.line());
-                break;
-            }
-            poe_net::ReadOutcome::Closed => break,
-        };
-        let (response, action) =
-            respond_action(&line, &shared.service, shared.input_dim, Some(shared));
-        if send_line(&mut writer, &response).is_err() {
-            // The client is gone (or chaos says so): the request was NOT
-            // answered, so it is not counted as handled.
-            shared.metrics.write_errors.inc();
-            break;
-        }
-        conn_requests += 1;
-        let n = {
-            let mut st = shared.lock_state();
-            st.handled += 1;
-            st.handled
-        };
-        shared.cvar.notify_all();
-        match action {
-            Action::Shutdown => {
-                shared.trigger_shutdown();
-                break;
-            }
-            Action::Close => break,
-            Action::Continue => {}
-        }
-        if n >= cfg.max_requests {
-            break;
-        }
-        if conn_requests >= cfg.max_conn_requests {
-            let _ = send_line(&mut writer, &WireError::ConnRequestLimit.line());
-            break;
-        }
-    }
-}
-
-/// What the connection loop should do after writing a response.
-enum Action {
-    Continue,
-    Close,
-    Shutdown,
 }
 
 /// Computes the response line for one request line (protocol core, kept
@@ -1269,7 +979,7 @@ fn respond_action(
     service: &QueryService,
     input_dim: usize,
     server: Option<&ServerShared>,
-) -> (String, Action) {
+) -> (String, After) {
     let obs = service.obs();
     let request_id = poe_obs::next_request_id();
     let start = Instant::now();
@@ -1277,16 +987,8 @@ fn respond_action(
     // A router-originated request carries an `@<id>` correlation prefix
     // (the router's request id); stripping it here and echoing it as
     // `origin=` in the start event joins one request's flight events
-    // across the router and shard processes. A malformed prefix is left
-    // in place and falls through to the unknown-verb error.
-    let (origin, trimmed) = match trimmed
-        .strip_prefix('@')
-        .and_then(|rest| rest.split_once(char::is_whitespace))
-        .and_then(|(id, tail)| id.parse::<u64>().ok().map(|id| (id, tail.trim())))
-    {
-        Some((id, tail)) => (Some(id), tail),
-        None => (None, trimmed),
-    };
+    // across the router and shard processes.
+    let (origin, trimmed) = wire::strip_origin(trimmed);
     let verb = wire::split_verb(trimmed).0.to_ascii_uppercase();
     // Per-verb counters count attempts, so the name comes from the raw
     // verb token — a QUERY with a bad task list still counts as a QUERY.
@@ -1364,7 +1066,7 @@ fn respond_inner(
     service: &QueryService,
     input_dim: usize,
     server: Option<&ServerShared>,
-) -> (String, Action) {
+) -> (String, After) {
     // A degraded server (pool failed to load) refuses data verbs but
     // keeps answering lifecycle/observability ones, so an operator can
     // see *why* it is not ready. The check runs on the raw verb token,
@@ -1376,14 +1078,14 @@ fn respond_inner(
                 wire::split_verb(line).0.to_ascii_uppercase().as_str(),
                 "INFO" | "QUERY" | "PREDICT" | "LOGITS" | "SWAP"
             ) {
-                return (WireError::NotReady(detail.clone()).line(), Action::Continue);
+                return (WireError::NotReady(detail.clone()).line(), After::Reply);
             }
         }
     }
 
     let request = match wire::parse_request(line) {
         Ok(r) => r,
-        Err(e) => return (e.line(), Action::Continue),
+        Err(e) => return (e.line(), After::Reply),
     };
     let text = match request {
         Request::Info => service.with_pool(|p| {
@@ -1394,10 +1096,10 @@ fn respond_inner(
                 p.hierarchy().num_classes()
             )
         }),
-        Request::Quit => return ("OK bye".into(), Action::Close),
+        Request::Quit => return ("OK bye".into(), After::Close),
         Request::Health => health_line(service, server),
         Request::Shutdown => match server {
-            Some(_) => return ("OK shutting down".into(), Action::Shutdown),
+            Some(_) => return ("OK shutting down".into(), After::Shutdown),
             None => WireError::ShutdownNoServer.line(),
         },
         Request::Stats => {
@@ -1513,9 +1215,9 @@ fn respond_inner(
                         ),
                         Err(e) => {
                             let action = if e.closes_connection() {
-                                Action::Close
+                                After::Close
                             } else {
-                                Action::Continue
+                                After::Reply
                             };
                             return (e.line(), action);
                         }
@@ -1524,7 +1226,7 @@ fn respond_inner(
             }
         }
     };
-    (text, Action::Continue)
+    (text, After::Reply)
 }
 
 /// Owning task per output column, in logit order — the provenance the
@@ -1570,7 +1272,7 @@ fn health_line(service: &QueryService, server: Option<&ServerShared>) -> String 
         );
     };
     let pool_ok = s.cfg.pool_error.is_none();
-    let alive = s.workers_alive.load(Ordering::Acquire);
+    let alive = s.net.workers_alive();
     let total = s.cfg.workers.max(1);
     let draining = s.draining.load(Ordering::Acquire);
     let rate = s.shed_rate();
@@ -1590,7 +1292,7 @@ fn health_line(service: &QueryService, server: Option<&ServerShared>) -> String 
         if pool_ok { "ok" } else { "error" },
         alive,
         total,
-        s.inflight(),
+        s.net.connections(),
         rate,
         u8::from(draining),
     );
@@ -1721,30 +1423,6 @@ fn join_f32(v: &[f32]) -> String {
         .join(",")
 }
 
-/// Jitters a retry hint into `[base/2, 3*base/2]` so a cohort of shed
-/// clients doesn't re-arrive in one synchronized wave. The range is
-/// pinned by `jittered_retry_hint_stays_in_range`.
-pub(crate) fn jittered_retry_after_ms(base: u64) -> u64 {
-    use std::sync::OnceLock;
-    static RNG: OnceLock<Mutex<poe_tensor::Prng>> = OnceLock::new();
-    if base == 0 {
-        return 0;
-    }
-    let mut rng = RNG
-        .get_or_init(|| {
-            let seed = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-                .unwrap_or(0x5EED);
-            Mutex::new(poe_tensor::Prng::seed_from_u64(
-                seed ^ std::process::id() as u64,
-            ))
-        })
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    base / 2 + rng.next_u64() % (base + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1752,7 +1430,8 @@ mod tests {
     use poe_data::ClassHierarchy;
     use poe_nn::layers::{Linear, Sequential};
     use poe_tensor::Prng;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     fn toy_service() -> Arc<QueryService> {
         let mut rng = Prng::seed_from_u64(1);
@@ -1897,17 +1576,6 @@ mod tests {
         assert_eq!(start.detail, "verb=QUERY origin=4242");
         // A malformed prefix is not stripped: it reads as an unknown verb.
         assert!(respond("@nope QUERY 0", &svc, 4).starts_with("ERR unknown verb"));
-    }
-
-    /// Pins the shed-hint jitter range `[base/2, 3*base/2]` and that the
-    /// hint actually varies — a fixed constant re-stampedes the server.
-    #[test]
-    fn jittered_retry_hint_stays_in_range() {
-        let draws: Vec<u64> = (0..200).map(|_| jittered_retry_after_ms(100)).collect();
-        assert!(draws.iter().all(|&d| (50..=150).contains(&d)), "{draws:?}");
-        let distinct: std::collections::HashSet<_> = draws.iter().collect();
-        assert!(distinct.len() >= 3, "hint is not jittered: {draws:?}");
-        assert_eq!(jittered_retry_after_ms(0), 0);
     }
 
     #[test]
@@ -2419,49 +2087,6 @@ mod tests {
     }
 
     #[test]
-    fn full_accept_queue_sheds_with_busy() {
-        // Threads-specific: the accept queue only exists on the threads
-        // backend (epoll sheds at `max_conns` instead, pinned by the
-        // poe-net suite and the conformance tests).
-        let (server, svc, addr) = start(ServeConfig {
-            net: NetBackend::Threads,
-            workers: 1,
-            queue_capacity: 1,
-            drain_deadline: Duration::from_millis(200),
-            ..ServeConfig::default()
-        });
-        let accepted = svc.obs().registry.counter("serve.accepted");
-        // A occupies the only worker; B fills the one queue slot.
-        let (a_w, _a_r) = client(addr);
-        wait_until("client A in service", || server.active_connections() == 1);
-        let (b_w, _b_r) = client(addr);
-        wait_until("client B queued", || accepted.get() == 2);
-        // C finds the queue full: shed with a retry hint, then closed.
-        let (_c_w, mut c_r) = client(addr);
-        let mut line = String::new();
-        c_r.read_line(&mut line).unwrap();
-        // The hint is jittered around the configured base of 100 ms
-        // (range pinned by `jittered_retry_hint_stays_in_range`).
-        let hint: u64 = line
-            .trim_end()
-            .strip_prefix("ERR busy retry_after_ms=")
-            .expect(&line)
-            .parse()
-            .unwrap();
-        assert!(
-            (50..=150).contains(&hint),
-            "hint {hint} outside jitter range"
-        );
-        line.clear();
-        assert_eq!(c_r.read_line(&mut line).unwrap(), 0);
-        assert_eq!(svc.obs().registry.counter("serve.shed").get(), 1);
-        drop(a_w);
-        drop(b_w);
-        server.handle().shutdown();
-        server.join().unwrap();
-    }
-
-    #[test]
     fn per_connection_request_cap_closes_connection() {
         let (server, _svc, addr) = start(ServeConfig {
             max_conn_requests: 2,
@@ -2540,68 +2165,78 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// SHUTDOWN drains within the deadline even with an idle client
-    /// pinning a worker: the straggler is force-closed, every thread is
-    /// joined, and the listener is released.
+    /// A client that pipelines requests and never reads its answers: once
+    /// the socket buffers fill, its connection sits mid-write, in flight,
+    /// where the drain cannot refuse it. Returns the writer thread, which
+    /// ends when the server closes the connection.
+    fn slow_reader(addr: SocketAddr, svc: &QueryService) -> std::thread::JoinHandle<()> {
+        let mut w = TcpStream::connect(addr).unwrap();
+        let writer =
+            std::thread::spawn(move || while w.write_all(b"METRICS openmetrics\n").is_ok() {});
+        // Answers stop once the buffers are full: wait until the count
+        // has not moved for three checks in a row.
+        let answered = svc.obs().registry.counter("serve.requests.metrics");
+        let (mut last, mut still) = (0, 0);
+        wait_until("the slow reader's answers to stall", || {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = answered.get();
+            still = if now > 0 && now == last { still + 1 } else { 0 };
+            last = now;
+            still >= 3
+        });
+        writer
+    }
+
+    /// SHUTDOWN drains within the deadline even with a client whose
+    /// answer can never be flushed: the straggler is force-closed at the
+    /// deadline, the timeout is counted, every thread is joined, and the
+    /// listener is released.
     #[test]
     fn shutdown_verb_drains_within_deadline() {
-        // Threads-specific: only a thread blocked in read() needs the
-        // force-close hammer. The epoll loop refuses idle connections
-        // outright at drain start, so its drain never times out here
-        // (covered by `epoll_drain_refuses_idle_connections`).
+        let deadline = Duration::from_millis(300);
         let (server, svc, addr) = start(ServeConfig {
-            net: NetBackend::Threads,
             workers: 2,
-            idle_timeout: None, // the idle client would block forever
-            drain_deadline: Duration::from_millis(300),
+            idle_timeout: None,
+            drain_deadline: deadline,
             ..ServeConfig::default()
         });
-        let (_idle_w, mut idle_r) = client(addr);
-        wait_until("idle client in service", || {
-            server.active_connections() == 1
-        });
+        let writer = slow_reader(addr, &svc);
         let (mut w, mut r) = client(addr);
         assert_eq!(ask(&mut w, &mut r, "SHUTDOWN"), "OK shutting down");
         let begin = Instant::now();
         let report = server.join().unwrap();
         assert!(
-            begin.elapsed() < Duration::from_secs(3),
+            begin.elapsed() < deadline + Duration::from_secs(2),
             "drain exceeded deadline by far: {:?}",
             begin.elapsed()
         );
-        assert_eq!(report.handled, 1);
-        assert!(report.drain_timed_out, "idle client should be force-closed");
+        assert!(
+            report.drain_timed_out,
+            "the slow reader must be force-closed"
+        );
         assert_eq!(svc.obs().registry.counter("serve.drain_timeouts").get(), 1);
-        // The idle client observes its connection being closed.
-        let mut line = String::new();
-        let _ = idle_r.read_line(&mut line);
+        // The slow reader's connection is gone: its writes now fail.
+        writer.join().unwrap();
         // Listener released: a new connect is refused.
         assert!(TcpStream::connect(addr).is_err());
     }
 
-    /// The epoll drain: idle connections are refused with `ERR shutting
-    /// down` at drain start, in-flight ones finish, and the drain
-    /// completes without the force-close hammer (contrast with the
-    /// threads-only `shutdown_verb_drains_within_deadline`).
+    /// The drain refuses idle connections with `ERR shutting down` at
+    /// drain start, lets in-flight ones finish, and completes without
+    /// the force-close hammer.
     #[test]
-    fn epoll_drain_refuses_idle_connections() {
-        if !poe_net::epoll_supported() {
-            return;
-        }
+    fn drain_refuses_idle_connections() {
         let (server, _svc, addr) = start(ServeConfig {
-            net: NetBackend::Epoll,
             idle_timeout: None,
             ..ServeConfig::default()
         });
-        assert_eq!(server.net_backend(), NetBackend::Epoll);
         let (_idle_w, mut idle_r) = client(addr);
         wait_until("idle client registered", || {
             server.active_connections() == 1
         });
         let (mut w, mut r) = client(addr);
         assert_eq!(ask(&mut w, &mut r, "SHUTDOWN"), "OK shutting down");
-        // SHUTDOWN's own connection closes after the response, exactly
-        // like the threads backend.
+        // SHUTDOWN's own connection closes after the response.
         let mut line = String::new();
         assert_eq!(r.read_line(&mut line).unwrap(), 0);
         // The idle connection is refused with a retry hint, then closed.
@@ -2615,19 +2250,18 @@ mod tests {
         line.clear();
         assert_eq!(idle_r.read_line(&mut line).unwrap(), 0);
         let report = server.join().unwrap();
-        assert!(!report.drain_timed_out, "epoll drain needs no force-close");
+        assert!(
+            !report.drain_timed_out,
+            "an idle client needs no force-close"
+        );
         assert_eq!(report.handled, 1);
     }
 
-    /// The epoll connection cap shows up on the wire as the same
-    /// jittered `ERR busy` shed the threads accept queue renders.
+    /// Past the connection cap, a client gets a jittered `ERR busy` and
+    /// is closed.
     #[test]
-    fn epoll_sheds_past_the_connection_cap() {
-        if !poe_net::epoll_supported() {
-            return;
-        }
+    fn sheds_past_the_connection_cap() {
         let (server, svc, addr) = start(ServeConfig {
-            net: NetBackend::Epoll,
             max_conns: 2,
             ..ServeConfig::default()
         });
@@ -2651,6 +2285,39 @@ mod tests {
         line.clear();
         assert_eq!(r3.read_line(&mut line).unwrap(), 0);
         assert_eq!(svc.obs().registry.counter("serve.shed").get(), 1);
+        server.handle().shutdown();
+        server.join().unwrap();
+    }
+
+    /// The inline rule: while a parked `PREDICT` holds the only worker, a
+    /// `QUERY` for a cached task set is still answered (on the loop
+    /// thread), and one for an uncached set waits for the worker.
+    #[test]
+    fn cached_query_is_answered_while_the_only_worker_is_busy() {
+        let (server, svc, addr) = start(ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            batch_delay: Duration::from_millis(400),
+            ..ServeConfig::default()
+        });
+        let reg = &svc.obs().registry;
+        let timeouts = reg.counter("serve.batch.flush.timeout");
+        let (mut w, mut r) = client(addr);
+        assert!(ask(&mut w, &mut r, "QUERY 0,1").contains(" cached=0 "));
+        // Park a PREDICT: it holds the sole worker until the timer flush.
+        let parked = std::thread::spawn(move || {
+            let (mut w, mut r) = client(addr);
+            ask(&mut w, &mut r, "PREDICT 2 : 1 2 3 4")
+        });
+        let depth = reg.gauge("serve.batch.queue_depth");
+        wait_until("the PREDICT to park", || depth.get() == 1.0);
+        let hit = ask(&mut w, &mut r, "QUERY 1,0");
+        assert!(hit.contains(" cached=1 "), "{hit}");
+        assert_eq!(timeouts.get(), 0, "the cached QUERY waited for the worker");
+        let miss = ask(&mut w, &mut r, "QUERY 1");
+        assert!(miss.contains(" cached=0 "), "{miss}");
+        assert_eq!(timeouts.get(), 1, "the uncached QUERY skipped the queue");
+        assert!(parked.join().unwrap().starts_with("OK class="));
         server.handle().shutdown();
         server.join().unwrap();
     }

@@ -17,7 +17,9 @@
 //! without updating the doc) fails the build's test gate.
 
 use poe_core::pool::QueryError;
+use poe_net::Refusal;
 use std::fmt;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Hard cap on the number of task ids in one `QUERY`/`PREDICT`/`LOGITS`
 /// (the "≤ 4096, no duplicates" rule of the request grammar).
@@ -72,7 +74,7 @@ pub enum WireError {
     ShutdownNoServer,
     /// Data verb on a degraded server (pool failed to load).
     NotReady(String),
-    /// Accept queue full: shed before any request was read.
+    /// At the concurrent-connection cap: shed before any request was read.
     Busy {
         /// Suggested client backoff in milliseconds.
         retry_after_ms: u64,
@@ -111,6 +113,25 @@ impl WireError {
     /// The full response line: `ERR <reason>`.
     pub fn line(&self) -> String {
         format!("ERR {self}")
+    }
+
+    /// The rejection the event loop sends for `refusal` — the one place
+    /// both `poe serve` and `poe route` render their transport refusals.
+    /// Retry hints are jittered per response around `retry_after_ms`.
+    pub fn refusal(refusal: Refusal, max_line_bytes: usize, retry_after_ms: u64) -> WireError {
+        match refusal {
+            Refusal::Busy => WireError::Busy {
+                retry_after_ms: jittered_retry_after_ms(retry_after_ms),
+            },
+            Refusal::LineTooLong => WireError::LineTooLong {
+                max_bytes: max_line_bytes,
+            },
+            Refusal::IdleTimeout => WireError::IdleTimeout,
+            Refusal::ConnRequestLimit => WireError::ConnRequestLimit,
+            Refusal::ShuttingDown => WireError::ShuttingDown {
+                retry_after_ms: jittered_retry_after_ms(retry_after_ms),
+            },
+        }
     }
 
     /// Whether the server closes the connection after sending this error
@@ -290,6 +311,44 @@ impl Request {
     }
 }
 
+/// Jitters a retry hint into `[base/2, 3*base/2]` so a cohort of shed
+/// clients doesn't re-arrive in one synchronized wave. The range is
+/// pinned by `jittered_retry_hint_stays_in_range`.
+fn jittered_retry_after_ms(base: u64) -> u64 {
+    static RNG: OnceLock<Mutex<poe_tensor::Prng>> = OnceLock::new();
+    if base == 0 {
+        return 0;
+    }
+    let mut rng = RNG
+        .get_or_init(|| {
+            let seed = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
+                .unwrap_or(0x5EED);
+            Mutex::new(poe_tensor::Prng::seed_from_u64(
+                seed ^ std::process::id() as u64,
+            ))
+        })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    base / 2 + rng.next_u64() % (base + 1)
+}
+
+/// Splits a router-originated `@<id> ` correlation prefix off a trimmed
+/// request line: `(Some(id), rest)`, or `(None, line)` when there is no
+/// well-formed prefix (a malformed one stays in place and reads as an
+/// unknown verb).
+pub fn strip_origin(line: &str) -> (Option<u64>, &str) {
+    match line
+        .strip_prefix('@')
+        .and_then(|rest| rest.split_once(char::is_whitespace))
+        .and_then(|(id, tail)| id.parse::<u64>().ok().map(|id| (id, tail.trim())))
+    {
+        Some((id, tail)) => (Some(id), tail),
+        None => (None, line),
+    }
+}
+
 /// Splits a request line into its verb token and (trimmed) argument
 /// remainder. The line itself is trimmed first; a blank line yields an
 /// empty verb. This is the one tokenization rule of the protocol:
@@ -448,6 +507,46 @@ pub fn parse_features(features: &str, input_dim: usize) -> Result<Vec<f32>, Wire
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pins the shed-hint jitter range `[base/2, 3*base/2]` and that the
+    /// hint actually varies — a fixed constant re-stampedes the server.
+    #[test]
+    fn jittered_retry_hint_stays_in_range() {
+        let draws: Vec<u64> = (0..200).map(|_| jittered_retry_after_ms(100)).collect();
+        assert!(draws.iter().all(|&d| (50..=150).contains(&d)), "{draws:?}");
+        let distinct: std::collections::HashSet<_> = draws.iter().collect();
+        assert!(distinct.len() >= 3, "hint is not jittered: {draws:?}");
+        assert_eq!(jittered_retry_after_ms(0), 0);
+    }
+
+    /// Every loop refusal renders as its documented rejection line.
+    #[test]
+    fn refusals_render_the_closing_rejections() {
+        let line = |r| WireError::refusal(r, 64, 0).line();
+        assert_eq!(line(Refusal::Busy), "ERR busy retry_after_ms=0");
+        assert_eq!(
+            line(Refusal::LineTooLong),
+            "ERR line too long (max 64 bytes)"
+        );
+        assert_eq!(line(Refusal::IdleTimeout), "ERR idle timeout");
+        assert_eq!(
+            line(Refusal::ConnRequestLimit),
+            "ERR connection request limit reached"
+        );
+        assert_eq!(
+            line(Refusal::ShuttingDown),
+            "ERR shutting down retry_after_ms=0"
+        );
+        for r in [
+            Refusal::Busy,
+            Refusal::LineTooLong,
+            Refusal::IdleTimeout,
+            Refusal::ConnRequestLimit,
+            Refusal::ShuttingDown,
+        ] {
+            assert!(WireError::refusal(r, 64, 100).closes_connection(), "{r:?}");
+        }
+    }
 
     /// `docs/PROTOCOL.md` with its markdown-escaped backticks unescaped,
     /// so rendered error lines can be matched against table rows verbatim.

@@ -558,6 +558,20 @@ impl QueryService {
         evicted
     }
 
+    /// Whether the task set of `tasks` (in any order) is in the
+    /// consolidation cache. A short lock-and-scan probe: it never
+    /// consolidates and does not touch the LRU order or any counter.
+    pub fn is_cached(&self, tasks: &[usize]) -> bool {
+        let mut key = tasks.to_vec();
+        key.sort_unstable();
+        self.cache
+            .lock()
+            .unwrap()
+            .entries
+            .iter()
+            .any(|(k, _)| *k == key)
+    }
+
     /// Number of task sets currently cached.
     pub fn cached_consolidations(&self) -> usize {
         self.cache.lock().unwrap().entries.len()
@@ -814,6 +828,17 @@ mod tests {
         assert!(r.stats.cache_hit);
         assert_eq!(r.class_layout, vec![6, 7, 8, 0, 1, 2]);
         assert_eq!(svc.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn is_cached_probes_the_task_set_without_side_effects() {
+        let svc = service(4, &[0, 1, 2, 3]);
+        assert!(!svc.is_cached(&[0, 2]));
+        svc.query(&[0, 2]).unwrap();
+        assert!(svc.is_cached(&[2, 0]));
+        assert!(!svc.is_cached(&[0]));
+        let s = svc.stats();
+        assert_eq!((s.queries_served, s.cache_hits, s.cache_misses), (1, 0, 1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   the non-blocking epoll loop (bytes go in whenever the socket is
 //!   readable, complete lines come out).
 //! * [`LineReader`] — blocking adapter over any `Read`, used by the
-//!   thread-per-connection backends and the router's shard client.
+//!   router's shard client and by test clients.
 //!
 //! [`send_line`] is the other half: one `write` syscall for payload plus
 //! newline. A split write leaves the trailing byte queued behind Nagle
@@ -102,8 +102,6 @@ impl LineBuffer {
 pub struct LineReader<R> {
     inner: R,
     buf: LineBuffer,
-    /// Optional chaos site stalled before each transport read.
-    stall_site: Option<&'static str>,
 }
 
 impl<R: Read> LineReader<R> {
@@ -112,15 +110,7 @@ impl<R: Read> LineReader<R> {
         LineReader {
             inner,
             buf: LineBuffer::new(max),
-            stall_site: None,
         }
-    }
-
-    /// Registers a `poe_chaos::stall` site hit before every transport
-    /// read — the seam the server's read-stall chaos scenarios use.
-    pub fn with_stall_site(mut self, site: &'static str) -> Self {
-        self.stall_site = Some(site);
-        self
     }
 
     /// Bytes already read from the transport but not yet consumed as
@@ -150,9 +140,6 @@ impl<R: Read> LineReader<R> {
                 Ok(Some(line)) => return ReadOutcome::Line(line),
                 Ok(None) => {}
                 Err(LineOverflow) => return ReadOutcome::TooLong,
-            }
-            if let Some(site) = self.stall_site {
-                poe_chaos::stall(site);
             }
             let mut chunk = [0u8; 1024];
             match self.inner.read(&mut chunk) {

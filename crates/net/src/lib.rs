@@ -10,19 +10,23 @@
 //! owns accept, the 8 KiB request-line cap, write backpressure, idle
 //! deadlines, connection caps, and drain mechanics. It does not know the
 //! protocol: request parsing, response wording, and business logic live
-//! above it (`poe-cli`'s serve/route layers implement [`NetService`]),
-//! and the expert pool below never sees a socket.
+//! above it (`poe-cli`'s serve and route layers each implement
+//! [`NetService`] once), and the expert pool below never sees a socket.
 //!
 //! * [`framing`] — [`LineBuffer`]/[`LineReader`]/[`send_line`]: the one
 //!   implementation of bounded line reads and single-syscall line
-//!   writes, used by both backends and the router's shard client.
+//!   writes, used by the event loop and the router's shard client.
 //! * [`poller`] — safe epoll + eventfd wrappers.
 //! * [`server`] — the event loop: each connection is an explicit state
 //!   machine (`Reading → Dispatched → Writing → Idle | Draining |
-//!   Closed`) driven by readiness instead of a blocked thread.
+//!   Closed`) driven by readiness instead of a blocked thread. Lines
+//!   that cannot block are answered on the loop thread; the rest go to
+//!   the one dispatch pool (`pool`), which wakes exactly one worker per
+//!   line and contains handler panics.
 //! * [`sys`] — the raw syscall layer (the only `unsafe` in the serving
-//!   stack); portable stubs elsewhere report `Unsupported` so callers
-//!   fall back to thread-per-connection.
+//!   stack). It exists on Linux x86-64 and aarch64; elsewhere its stubs
+//!   report `Unsupported`, which [`EventLoop::start`] passes on, so the
+//!   serving endpoints do not run on other targets.
 
 #![warn(missing_docs)]
 // `unsafe` is confined to `sys`; every other module forbids it at the
@@ -31,18 +35,12 @@
 
 pub mod framing;
 pub mod poller;
+mod pool;
 pub mod server;
 pub mod sys;
 
 pub use framing::{send_line, LineBuffer, LineOverflow, LineReader, ReadOutcome};
 pub use poller::{Interest, PollEvent, Poller, Waker};
 pub use server::{
-    After, Completions, ConnToken, EventLoop, LoopConfig, LoopHandle, LoopReport, NetEvent,
-    NetMetrics, NetService, Refusal,
+    After, EventLoop, LoopConfig, LoopHandle, LoopReport, NetEvent, NetMetrics, NetService, Refusal,
 };
-
-/// Whether the epoll backend is available on this target (compile-time
-/// capability; `EventLoop::start` also fails gracefully at runtime).
-pub const fn epoll_supported() -> bool {
-    sys::supported()
-}

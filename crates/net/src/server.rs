@@ -1,7 +1,6 @@
 //! The readiness event loop: one thread owning accept, read framing,
-//! and write backpressure for every connection, with request handling
-//! delegated to a [`NetService`] (in practice: the CLI's worker pool and
-//! `BatchScheduler`).
+//! and write backpressure for every connection, plus the dispatch pool
+//! that answers the request lines the loop cannot answer itself.
 //!
 //! ## Connection state machine
 //!
@@ -9,8 +8,8 @@
 //!            accept                    full line
 //!   (new) ──────────▶ Idle ──bytes──▶ Reading ──────────▶ Dispatched
 //!                      ▲                                       │
-//!                      │ response flushed,            completion│
-//!                      │ next line not buffered                 ▼
+//!                      │ response flushed,     inline answer or │
+//!                      │ next line not buffered  pool completion ▼
 //!                      └───────────────────────────────── Writing
 //!                                                               │
 //!     refusal queued (shed / oversize / idle timeout /          │ close-after-
@@ -20,32 +19,40 @@
 //!
 //! * `Idle`/`Reading` — registered for read interest; bytes accumulate in
 //!   a capped [`LineBuffer`].
-//! * `Dispatched` — a complete line has been handed to the service; read
-//!   interest is dropped so a pipelining client is backpressured by TCP
-//!   instead of by unbounded buffering, and responses stay in order.
-//! * `Writing` — the response (queued by a `Completion`) is being
-//!   flushed; partial writes arm write interest instead of blocking.
+//! * `Dispatched` — a complete line was handed to the service. A line the
+//!   service answers inline ([`NetService::answer_inline`]) is written in
+//!   the same loop iteration. Any other line goes to the dispatch pool,
+//!   whose worker writes the answer itself and then hands the rest back
+//!   to the loop; read interest is dropped until then, so a pipelining
+//!   client is backpressured by TCP instead of by unbounded buffering,
+//!   and responses stay in order. While a line is dispatched the loop
+//!   never writes to that connection, so the worker's write is the only
+//!   one.
+//! * `Writing` — the loop flushes what the socket did not take yet;
+//!   partial writes arm write interest instead of blocking.
 //! * `Draining` — a terminal refusal line (`ERR busy…`, `ERR line too
 //!   long`, `ERR idle timeout`, `ERR connection request limit`, `ERR
 //!   shutting down`) is flushing; the connection closes after it.
 //!
 //! The loop never blocks on a socket: the only blocking call is
-//! `epoll_wait`, and cross-thread work (worker completions, shutdown)
-//! arrives via an `eventfd` [`Waker`].
+//! `epoll_wait`, and pool answers and shutdown arrive via an `eventfd`
+//! [`Waker`].
 
 use crate::framing::{LineBuffer, LineOverflow};
 use crate::poller::{Interest, PollEvent, Poller, Waker};
+use crate::pool::{self, Pool};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Identifies one connection for the lifetime of the loop.
-pub type ConnToken = u64;
+pub(crate) type ConnToken = u64;
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
@@ -67,7 +74,7 @@ pub enum Refusal {
     ShuttingDown,
 }
 
-/// What the loop should do once a dispatched response is written.
+/// What the loop should do once a response is written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum After {
     /// Keep the connection open for the next request.
@@ -76,17 +83,72 @@ pub enum After {
     Close,
     /// Flush the response, then begin a server-wide drain (`SHUTDOWN`).
     Shutdown,
-    /// Close without writing anything — the dispatch stage panicked and
-    /// the connection cannot be trusted with a half-built response.
-    Abort,
 }
 
-/// A finished request from the dispatch stage.
+/// An answer line on its way to the socket: the bytes (newline
+/// included), how many of them are already written, and what follows.
+#[derive(Debug)]
+pub(crate) struct Answer {
+    buf: Vec<u8>,
+    written: usize,
+    failed: bool,
+    after: After,
+}
+
+impl Answer {
+    pub(crate) fn new(line: String, after: After) -> Answer {
+        let mut buf = line.into_bytes();
+        buf.push(b'\n');
+        Answer {
+            buf,
+            written: 0,
+            failed: false,
+            after,
+        }
+    }
+
+    /// Writes as much as the socket takes now (see [`write_some`]).
+    pub(crate) fn write(&mut self, stream: &TcpStream) {
+        self.failed = write_some(stream, &self.buf, &mut self.written) == Flush::Failed;
+    }
+}
+
+/// A pool answer on its way back to the loop; `None` aborts the
+/// connection without writing (the handler panicked, so it cannot be
+/// trusted with a half-built response).
 #[derive(Debug)]
 struct Completion {
     conn: ConnToken,
-    line: String,
-    after: After,
+    answer: Option<Answer>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flush {
+    Done,
+    Partial,
+    Failed,
+}
+
+/// Writes `buf[*written..]` to a non-blocking socket until it is all
+/// written or the socket is full, behind the write chaos site. Shared by
+/// the loop and the dispatch workers, which write their answers directly.
+pub(crate) fn write_some(mut stream: &TcpStream, buf: &[u8], written: &mut usize) -> Flush {
+    if *written >= buf.len() {
+        return Flush::Done;
+    }
+    if poe_chaos::fail_io(poe_chaos::sites::NET_EPOLL_WRITE_IO).is_some() {
+        return Flush::Failed;
+    }
+    while *written < buf.len() {
+        match stream.write(&buf[*written..]) {
+            Ok(0) => return Flush::Failed,
+            Ok(n) => *written += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Flush::Partial,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return Flush::Failed,
+        }
+    }
+    Flush::Done
 }
 
 /// Loop-observed lifecycle notifications, so the service layer can keep
@@ -104,6 +166,9 @@ pub enum NetEvent {
     Oversize,
     /// A response write failed hard.
     WriteError,
+    /// A handler panicked; the panic was contained (and recorded as a
+    /// `worker.panic` flight event) and its connection aborted.
+    HandlerPanicked,
     /// A connection was torn down (always fires, whatever the reason).
     Closed,
     /// The listener hit a non-transient accept error; the loop is
@@ -111,24 +176,30 @@ pub enum NetEvent {
     AcceptFailed,
 }
 
-/// The dispatch stage fed by the loop.
+/// The protocol layer driven by the loop: one line handler plus the
+/// wording of the loop's refusals.
 ///
-/// `dispatch` runs on the loop thread and must not block: hand the line
-/// to a worker pool / queue and return. The eventual answer comes back
-/// through the [`Completions`] handle. Implementations must not panic
-/// (wrap untrusted work in `catch_unwind` and answer [`After::Abort`]).
-pub trait NetService: Send + Sync {
-    /// A complete request line for `conn`. Exactly one completion must
-    /// eventually be sent for it (or the connection idles until drain).
-    fn dispatch(&self, conn: ConnToken, line: String);
+/// Every complete request line gets exactly one answer. The loop first
+/// offers it to [`answer_inline`](NetService::answer_inline) on its own
+/// thread; a line that is not answered there goes to the dispatch pool,
+/// where [`handle`](NetService::handle) answers it. Panics in either are
+/// contained and abort only their connection.
+pub trait NetService: Send + Sync + 'static {
+    /// Answers `line` on the loop thread, or returns `None` to send it to
+    /// the dispatch pool. Only lines that cannot block belong here: while
+    /// it answers, the loop serves no other connection. Default: none.
+    fn answer_inline(&self, _line: &str) -> Option<(String, After)> {
+        None
+    }
+    /// Answers `line` on a dispatch-pool worker; may block.
+    fn handle(&self, line: &str) -> (String, After);
     /// Renders the protocol line for a loop-side refusal.
     fn refusal_line(&self, refusal: Refusal) -> String;
     /// Lifecycle notification (default: ignore).
     fn on_event(&self, _event: NetEvent) {}
-    /// A dispatched response was fully flushed to `conn` — the analog of
-    /// "`send_line` returned Ok" in the threads backend, used for
-    /// request budgets.
-    fn on_response_written(&self, _conn: ConnToken) {}
+    /// A response was fully flushed; request budgets count these, so a
+    /// failed write is never counted as handled.
+    fn on_response_written(&self) {}
 }
 
 /// Transport counters, registered as `net.*` instruments.
@@ -142,7 +213,7 @@ pub struct NetMetrics {
     pub readable: Arc<poe_obs::Counter>,
     /// `net.writable` — write-readiness events handled.
     pub writable: Arc<poe_obs::Counter>,
-    /// `net.wakeups` — eventfd wakeups (completions, shutdown).
+    /// `net.wakeups` — eventfd wakeups (pool answers, shutdown).
     pub wakeups: Arc<poe_obs::Counter>,
     /// `net.shed` — connections refused at the cap.
     pub shed: Arc<poe_obs::Counter>,
@@ -183,9 +254,11 @@ pub struct LoopConfig {
     pub max_conn_requests: u64,
     /// How long a drain may take before stragglers are force-closed.
     pub drain_deadline: Duration,
+    /// Dispatch-pool worker threads (min 1).
+    pub workers: usize,
     /// `net.*` instruments (defaults to a detached registry).
     pub metrics: Option<NetMetrics>,
-    /// Flight recorder for loop lifecycle events.
+    /// Flight recorder for loop lifecycle events and contained panics.
     pub flight: Option<Arc<poe_obs::FlightRecorder>>,
 }
 
@@ -197,6 +270,7 @@ impl Default for LoopConfig {
             max_conns: 16 * 1024,
             max_conn_requests: u64::MAX,
             drain_deadline: Duration::from_secs(5),
+            workers: 4,
             metrics: None,
             flight: None,
         }
@@ -212,14 +286,26 @@ pub struct LoopReport {
     pub accept_error: Option<String>,
 }
 
-/// Shared control block between the loop, its handle, and completions.
+/// Shared control block between the loop, its handle, and the pool.
 #[derive(Debug)]
-struct Ctl {
+pub(crate) struct Ctl {
     waker: Waker,
     drain: AtomicBool,
-    force_close: AtomicBool,
     conns: AtomicUsize,
     completions: Mutex<Vec<Completion>>,
+    pub(crate) pool: Pool,
+}
+
+impl Ctl {
+    /// Hands a pool answer back to the loop and wakes it. An answer for
+    /// an already-closed connection is dropped by the loop.
+    pub(crate) fn complete(&self, conn: ConnToken, answer: Option<Answer>) {
+        self.completions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(Completion { conn, answer });
+        self.waker.wake();
+    }
 }
 
 /// Cross-thread handle to a running loop.
@@ -236,44 +322,15 @@ impl LoopHandle {
         self.ctl.waker.wake();
     }
 
-    /// Force-closes every connection now (the drain-deadline hammer,
-    /// exposed for the serve layer's force-close path).
-    pub fn force_close(&self) {
-        self.ctl.force_close.store(true, Ordering::Release);
-        self.ctl.waker.wake();
-    }
-
     /// Currently registered connections.
     pub fn connections(&self) -> usize {
         self.ctl.conns.load(Ordering::Acquire)
     }
 
-    /// The completion sender handed to dispatch workers.
-    pub fn completions(&self) -> Completions {
-        Completions {
-            ctl: Arc::clone(&self.ctl),
-        }
-    }
-}
-
-/// Sends finished responses back into the loop. Clone freely; safe from
-/// any thread; a completion for an already-closed connection is dropped.
-#[derive(Debug, Clone)]
-pub struct Completions {
-    ctl: Arc<Ctl>,
-}
-
-impl Completions {
-    /// Queues `line` (without trailing newline) as the response for
-    /// `conn` and wakes the loop. For [`After::Abort`] the line is
-    /// ignored.
-    pub fn complete(&self, conn: ConnToken, line: String, after: After) {
-        self.ctl
-            .completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Completion { conn, line, after });
-        self.ctl.waker.wake();
+    /// Dispatch-pool workers still running (they only exit once the loop
+    /// is joined; a contained panic does not cost a worker).
+    pub fn workers_alive(&self) -> usize {
+        self.ctl.pool.alive.load(Ordering::Acquire)
     }
 }
 
@@ -290,14 +347,15 @@ enum ConnState {
 enum PendingWrite {
     /// Nothing queued.
     None,
-    /// A dispatched response; `close` = close once flushed.
+    /// An answer; `close` = close once flushed.
     Response { close: bool },
     /// A refusal line; always close once flushed.
     Terminal,
 }
 
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the dispatch worker answering this connection's line.
+    stream: Arc<TcpStream>,
     state: ConnState,
     interest: Interest,
     inbuf: LineBuffer,
@@ -308,41 +366,69 @@ struct Conn {
     requests: u64,
 }
 
-/// A running event loop: the handle plus the loop thread's join handle.
+/// A running event loop: the handle, the loop thread, and the dispatch
+/// pool's workers.
 pub struct EventLoop {
     handle: LoopHandle,
     thread: Option<JoinHandle<LoopReport>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl EventLoop {
-    /// Starts the loop on its own thread. Fails with `Unsupported` where
-    /// the raw-epoll backend is not compiled in — callers fall back to
-    /// the threads backend.
-    pub fn start(
+    /// Starts the loop and its dispatch pool. `service` builds the line
+    /// handler from the loop's handle, so the handler can own the handle
+    /// (to start a drain, count connections) from its first line; the
+    /// built handler is returned next to the loop. Fails with
+    /// `Unsupported` on targets without the raw-epoll backend.
+    pub fn start<S: NetService>(
         listener: TcpListener,
-        service: Arc<dyn NetService>,
         cfg: LoopConfig,
-    ) -> io::Result<EventLoop> {
+        service: impl FnOnce(LoopHandle) -> S,
+    ) -> io::Result<(EventLoop, Arc<S>)> {
         let poller = Poller::new()?;
         let waker = Waker::new()?;
         listener.set_nonblocking(true)?;
         poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         poller.add(waker.fd(), WAKER_TOKEN, Interest::READ)?;
+        let workers_n = cfg.workers.max(1);
         let ctl = Arc::new(Ctl {
             waker,
             drain: AtomicBool::new(false),
-            force_close: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             completions: Mutex::new(Vec::new()),
+            pool: Pool::default(),
         });
+        ctl.pool.alive.store(workers_n, Ordering::Release);
         let handle = LoopHandle {
             ctl: Arc::clone(&ctl),
         };
+        let svc = Arc::new(service(handle.clone()));
+        let dyn_svc: Arc<dyn NetService> = svc.clone();
+        // On a failed spawn, `join` closes the pool so the workers
+        // already running exit, and joins them.
+        let mut event_loop = EventLoop {
+            handle,
+            thread: None,
+            workers: Vec::with_capacity(workers_n),
+        };
+        for i in 0..workers_n {
+            let (ctl, svc, flight) = (Arc::clone(&ctl), dyn_svc.clone(), cfg.flight.clone());
+            match std::thread::Builder::new()
+                .name(format!("poe-net-worker-{i}"))
+                .spawn(move || pool::worker(ctl, svc, flight))
+            {
+                Ok(w) => event_loop.workers.push(w),
+                Err(e) => {
+                    event_loop.join();
+                    return Err(e);
+                }
+            }
+        }
         let metrics = cfg.metrics.clone().unwrap_or_else(NetMetrics::detached);
         let mut inner = LoopInner {
             poller,
             ctl,
-            service,
+            service: dyn_svc,
             cfg,
             metrics,
             listener: Some(listener),
@@ -353,13 +439,17 @@ impl EventLoop {
             drain_deadline_at: None,
             report: LoopReport::default(),
         };
-        let thread = std::thread::Builder::new()
+        match std::thread::Builder::new()
             .name("poe-net-loop".into())
-            .spawn(move || inner.run())?;
-        Ok(EventLoop {
-            handle,
-            thread: Some(thread),
-        })
+            .spawn(move || inner.run())
+        {
+            Ok(t) => event_loop.thread = Some(t),
+            Err(e) => {
+                event_loop.join();
+                return Err(e);
+            }
+        }
+        Ok((event_loop, svc))
     }
 
     /// The cross-thread control handle.
@@ -367,12 +457,18 @@ impl EventLoop {
         self.handle.clone()
     }
 
-    /// Waits for the loop thread to exit (after a drain completes).
+    /// Waits for the loop thread to exit (after a drain completes), then
+    /// closes the dispatch pool and joins its workers.
     pub fn join(mut self) -> LoopReport {
-        match self.thread.take() {
+        let report = match self.thread.take() {
             Some(t) => t.join().unwrap_or_default(),
             None => LoopReport::default(),
+        };
+        self.handle.ctl.pool.close();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
+        report
     }
 }
 
@@ -431,9 +527,6 @@ impl LoopInner {
                 }
             }
             self.drain_completions(now);
-            if self.ctl.force_close.swap(false, Ordering::AcqRel) {
-                self.teardown_all("force_close");
-            }
             if self.ctl.drain.load(Ordering::Acquire) && !self.drained {
                 self.begin_drain(now);
             }
@@ -544,7 +637,7 @@ impl LoopInner {
         self.conns.insert(
             token,
             Conn {
-                stream,
+                stream: Arc::new(stream),
                 state: ConnState::Idle,
                 interest: Interest::READ,
                 inbuf: LineBuffer::new(self.cfg.max_line_bytes),
@@ -594,7 +687,7 @@ impl LoopInner {
                 return;
             }
             let mut chunk = [0u8; 4096];
-            match conn.stream.read(&mut chunk) {
+            match (&*conn.stream).read(&mut chunk) {
                 Ok(0) => {
                     self.teardown(token);
                     return;
@@ -604,6 +697,13 @@ impl LoopInner {
                     conn.last_activity = now;
                     conn.state = ConnState::Reading;
                     self.advance_read(token, now);
+                    // A short read drained the socket. Registration is
+                    // level-triggered, so bytes that arrive later wake the
+                    // loop again: skip the read that would only say
+                    // `WouldBlock`.
+                    if n < chunk.len() {
+                        return;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -615,30 +715,54 @@ impl LoopInner {
         }
     }
 
-    /// Tries to pull the next complete line out of the connection's
-    /// buffer and move it through `Reading → Dispatched`.
+    /// Serves the complete lines buffered on a `Reading` connection, in
+    /// order: inline answers are written on the spot and the next line
+    /// follows; the first line that goes to the pool parks the
+    /// connection in `Dispatched`.
     fn advance_read(&mut self, token: ConnToken, now: Instant) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        match conn.inbuf.next_line() {
-            Err(LineOverflow) => {
-                self.service.on_event(NetEvent::Oversize);
-                self.refuse(token, Refusal::LineTooLong, now);
-            }
-            Ok(None) => {
-                conn.state = if conn.inbuf.pending() == 0 {
-                    ConnState::Idle
-                } else {
-                    ConnState::Reading
-                };
-                self.set_interest(token, Interest::READ);
-                self.note_idle_deadline(now);
-            }
-            Ok(Some(line)) => {
-                conn.state = ConnState::Dispatched;
-                self.set_interest(token, Interest::NONE);
-                self.service.dispatch(token, line);
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            let line = match conn.inbuf.next_line() {
+                Err(LineOverflow) => {
+                    self.service.on_event(NetEvent::Oversize);
+                    self.refuse(token, Refusal::LineTooLong, now);
+                    return;
+                }
+                Ok(None) => {
+                    conn.state = if conn.inbuf.pending() == 0 {
+                        ConnState::Idle
+                    } else {
+                        ConnState::Reading
+                    };
+                    self.set_interest(token, Interest::READ);
+                    self.note_idle_deadline(now);
+                    return;
+                }
+                Ok(Some(line)) => line,
+            };
+            conn.state = ConnState::Dispatched;
+            let service = &self.service;
+            match catch_unwind(AssertUnwindSafe(|| service.answer_inline(&line))) {
+                Ok(Some((line, after))) => {
+                    if !self.respond(token, Some(Answer::new(line, after)), now) {
+                        return;
+                    }
+                }
+                Ok(None) => {
+                    let stream = Arc::clone(&conn.stream);
+                    self.set_interest(token, Interest::NONE);
+                    if !self.ctl.pool.submit(token, line, stream) {
+                        self.teardown(token);
+                    }
+                    return;
+                }
+                Err(_) => {
+                    pool::note_panic(self.service.as_ref(), self.cfg.flight.as_deref(), token);
+                    self.teardown(token);
+                    return;
+                }
             }
         }
     }
@@ -653,7 +777,6 @@ impl LoopInner {
                 .modify(conn.stream.as_raw_fd(), token, interest)
                 .is_ok()
         {
-            let conn = self.conns.get_mut(&token).expect("conn just seen");
             conn.interest = interest;
         }
     }
@@ -667,34 +790,45 @@ impl LoopInner {
                 .unwrap_or_else(|e| e.into_inner()),
         );
         for c in batch {
-            self.on_completion(c, now);
+            if self.respond(c.conn, c.answer, now) {
+                self.advance_read(c.conn, now);
+            }
         }
     }
 
-    fn on_completion(&mut self, c: Completion, now: Instant) {
-        let Some(conn) = self.conns.get_mut(&c.conn) else {
-            return; // connection already gone (force-closed, EOF, …)
-        };
-        if c.after == After::Abort {
-            self.teardown(c.conn);
-            return;
+    /// Finishes writing the answer to a dispatched line (`None` aborts
+    /// the connection). A pool worker has already written what the
+    /// socket took. Returns whether the answer was flushed and the
+    /// connection is `Reading` again, ready for its next line.
+    fn respond(&mut self, token: ConnToken, answer: Option<Answer>, now: Instant) -> bool {
+        if !self.conns.contains_key(&token) {
+            return false; // connection already gone (force-closed, EOF, …)
         }
-        conn.outbuf.clear();
-        conn.outbuf.extend_from_slice(c.line.as_bytes());
-        conn.outbuf.push(b'\n');
-        conn.written = 0;
-        conn.requests += 1;
-        // `Shutdown` closes its own connection after the flush, like the
-        // threads backend does: the `OK shutting down` line is the last
-        // thing that client sees, not an `ERR shutting down` refusal.
-        conn.pending = PendingWrite::Response {
-            close: matches!(c.after, After::Close | After::Shutdown),
+        let Some(answer) = answer else {
+            self.teardown(token);
+            return false;
         };
-        conn.state = ConnState::Writing;
-        if c.after == After::Shutdown {
+        let after = answer.after;
+        if after == After::Shutdown {
             self.ctl.drain.store(true, Ordering::Release);
         }
-        self.flush_and_advance(c.conn, now);
+        if answer.failed {
+            self.service.on_event(NetEvent::WriteError);
+            self.teardown(token);
+            return false;
+        }
+        let conn = self.conns.get_mut(&token).expect("conn just seen");
+        conn.outbuf = answer.buf;
+        conn.written = answer.written;
+        conn.requests += 1;
+        // `Shutdown` closes its own connection after the flush: the `OK
+        // shutting down` line is the last thing that client sees, not an
+        // `ERR shutting down` refusal.
+        conn.pending = PendingWrite::Response {
+            close: matches!(after, After::Close | After::Shutdown),
+        };
+        conn.state = ConnState::Writing;
+        self.flush_and_advance(token, now)
     }
 
     /// Queues a refusal line and closes once it flushes.
@@ -712,48 +846,21 @@ impl LoopInner {
         self.flush_and_advance(token, now);
     }
 
-    fn flush_and_advance(&mut self, token: ConnToken, now: Instant) {
-        enum Flush {
-            Done,
-            Partial,
-            Failed,
-        }
-        let status = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let injected = poe_chaos::fail_io(poe_chaos::sites::NET_EPOLL_WRITE_IO).is_some();
-            let mut status = Flush::Done;
-            if injected {
-                status = Flush::Failed;
-            } else {
-                while conn.written < conn.outbuf.len() {
-                    match conn.stream.write(&conn.outbuf[conn.written..]) {
-                        Ok(0) => {
-                            status = Flush::Failed;
-                            break;
-                        }
-                        Ok(n) => conn.written += n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            status = Flush::Partial;
-                            break;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            status = Flush::Failed;
-                            break;
-                        }
-                    }
-                }
-            }
-            status
+    /// Flushes what is queued; see [`Self::on_flushed`] for the result.
+    fn flush_and_advance(&mut self, token: ConnToken, now: Instant) -> bool {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
         };
-        match status {
+        match write_some(&conn.stream, &conn.outbuf, &mut conn.written) {
             Flush::Failed => {
                 self.service.on_event(NetEvent::WriteError);
                 self.teardown(token);
+                false
             }
-            Flush::Partial => self.set_interest(token, Interest::WRITE),
+            Flush::Partial => {
+                self.set_interest(token, Interest::WRITE);
+                false
+            }
             Flush::Done => self.on_flushed(token, now),
         }
     }
@@ -762,14 +869,19 @@ impl LoopInner {
         let Some(conn) = self.conns.get(&token) else {
             return;
         };
-        if matches!(conn.state, ConnState::Writing | ConnState::Draining) {
-            self.flush_and_advance(token, now);
+        if matches!(conn.state, ConnState::Writing | ConnState::Draining)
+            && self.flush_and_advance(token, now)
+        {
+            self.advance_read(token, now);
         }
     }
 
-    fn on_flushed(&mut self, token: ConnToken, now: Instant) {
+    /// Settles a fully flushed write. Returns `true` when the connection
+    /// went back to `Reading` (the caller then serves any pipelined line
+    /// already buffered); `false` when it closed or is being refused.
+    fn on_flushed(&mut self, token: ConnToken, now: Instant) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return false;
         };
         conn.outbuf.clear();
         conn.written = 0;
@@ -781,7 +893,7 @@ impl LoopInner {
             PendingWrite::None => {}
             PendingWrite::Response { close } => {
                 let requests = conn.requests;
-                self.service.on_response_written(token);
+                self.service.on_response_written();
                 if close {
                     self.teardown(token);
                 } else if requests >= self.cfg.max_conn_requests {
@@ -789,14 +901,13 @@ impl LoopInner {
                 } else if self.drained || self.ctl.drain.load(Ordering::Acquire) {
                     self.refuse(token, Refusal::ShuttingDown, now);
                 } else {
-                    // Back to reading; serve any pipelined line already
-                    // buffered before waiting on the socket.
                     let conn = self.conns.get_mut(&token).expect("conn just seen");
                     conn.state = ConnState::Reading;
-                    self.advance_read(token, now);
+                    return true;
                 }
             }
         }
+        false
     }
 
     fn scan_idle(&mut self, now: Instant) {
@@ -845,6 +956,9 @@ impl LoopInner {
     fn teardown(&mut self, token: ConnToken) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
+            // A worker may still hold the stream: shut it down so that
+            // worker's answer fails instead of reaching the client.
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             self.ctl.conns.store(self.conns.len(), Ordering::Release);
             self.metrics.conns.set(self.conns.len() as f64);
             self.service.on_event(NetEvent::Closed);
@@ -875,37 +989,34 @@ mod tests {
     use crate::framing::{LineReader, ReadOutcome};
     use std::net::TcpStream;
 
-    /// Echo service answering on a tiny thread pool, like the real
-    /// dispatch stage.
+    /// Echo service: answers `INLINE …` on the loop thread and
+    /// everything else on the dispatch pool.
     struct Echo {
-        completions: Mutex<Option<Completions>>,
         shed: AtomicUsize,
+        panics: AtomicUsize,
     }
 
-    impl Echo {
-        fn new() -> Arc<Echo> {
-            Arc::new(Echo {
-                completions: Mutex::new(None),
-                shed: AtomicUsize::new(0),
-            })
-        }
-        fn wire(&self, c: Completions) {
-            *self.completions.lock().unwrap() = Some(c);
+    fn after_for(line: &str) -> After {
+        match line {
+            "QUIT" => After::Close,
+            "SHUTDOWN" => After::Shutdown,
+            _ => After::Reply,
         }
     }
 
     impl NetService for Echo {
-        fn dispatch(&self, conn: ConnToken, line: String) {
-            let done = self.completions.lock().unwrap().clone().unwrap();
-            std::thread::spawn(move || {
-                let after = match line.as_str() {
-                    "QUIT" => After::Close,
-                    "SHUTDOWN" => After::Shutdown,
-                    "PANIC" => After::Abort,
-                    _ => After::Reply,
-                };
-                done.complete(conn, format!("echo {line}"), after);
-            });
+        fn answer_inline(&self, line: &str) -> Option<(String, After)> {
+            if line == "INLINE PANIC" {
+                panic!("injected inline panic");
+            }
+            line.starts_with("INLINE")
+                .then(|| (format!("inline {line}"), After::Reply))
+        }
+        fn handle(&self, line: &str) -> (String, After) {
+            if line == "PANIC" {
+                panic!("injected handler panic");
+            }
+            (format!("echo {line}"), after_for(line))
         }
         fn refusal_line(&self, refusal: Refusal) -> String {
             match refusal {
@@ -919,14 +1030,21 @@ mod tests {
                 Refusal::ShuttingDown => "ERR shutting down".into(),
             }
         }
+        fn on_event(&self, event: NetEvent) {
+            if event == NetEvent::HandlerPanicked {
+                self.panics.fetch_add(1, Ordering::SeqCst);
+            }
+        }
     }
 
     fn start(cfg: LoopConfig) -> (EventLoop, Arc<Echo>, std::net::SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let svc = Echo::new();
-        let el = EventLoop::start(listener, svc.clone() as Arc<dyn NetService>, cfg).unwrap();
-        svc.wire(el.handle().completions());
+        let (el, svc) = EventLoop::start(listener, cfg, |_| Echo {
+            shed: AtomicUsize::new(0),
+            panics: AtomicUsize::new(0),
+        })
+        .unwrap();
         (el, svc, addr)
     }
 
@@ -964,14 +1082,57 @@ mod tests {
     }
 
     #[test]
-    fn quit_closes_and_abort_closes_silently() {
-        let (el, _svc, addr) = start(LoopConfig::default());
+    fn quit_closes_and_panics_close_silently() {
+        let flight = Arc::new(poe_obs::FlightRecorder::with_capacity(64));
+        let (el, svc, addr) = start(LoopConfig {
+            workers: 1,
+            flight: Some(Arc::clone(&flight)),
+            ..LoopConfig::default()
+        });
         let mut c = connect(addr);
         assert_eq!(roundtrip(&mut c, "QUIT"), "echo QUIT");
         assert!(matches!(c.read_line(), ReadOutcome::Closed));
+        for line in ["PANIC", "INLINE PANIC"] {
+            let mut c = connect(addr);
+            crate::framing::send_line(&mut c.get_ref(), line).unwrap();
+            assert!(matches!(c.read_line(), ReadOutcome::Closed), "{line}");
+        }
+        // Both panics were contained: the sole worker still answers.
         let mut c = connect(addr);
-        crate::framing::send_line(&mut c.get_ref(), "PANIC").unwrap();
-        assert!(matches!(c.read_line(), ReadOutcome::Closed));
+        assert_eq!(roundtrip(&mut c, "after"), "echo after");
+        assert_eq!(svc.panics.load(Ordering::SeqCst), 2);
+        assert_eq!(el.handle().workers_alive(), 1);
+        let panics = flight
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == "worker.panic")
+            .count();
+        assert_eq!(panics, 2);
+        el.handle().shutdown();
+        el.join();
+    }
+
+    #[test]
+    fn inline_answers_interleave_with_pool_answers_in_order() {
+        let (el, _svc, addr) = start(LoopConfig::default());
+        let mut c = connect(addr);
+        assert_eq!(roundtrip(&mut c, "INLINE a"), "inline INLINE a");
+        c.get_ref()
+            .try_clone()
+            .unwrap()
+            .write_all(b"INLINE b\npooled\nINLINE c\nINLINE d\n")
+            .unwrap();
+        for want in [
+            "inline INLINE b",
+            "echo pooled",
+            "inline INLINE c",
+            "inline INLINE d",
+        ] {
+            assert!(
+                matches!(c.read_line(), ReadOutcome::Line(l) if l == want),
+                "{want}"
+            );
+        }
         el.handle().shutdown();
         el.join();
     }
@@ -1057,5 +1218,59 @@ mod tests {
         let report = el.join();
         assert!(!report.drain_timed_out);
         drop(active);
+    }
+
+    /// A handler that only returns once every connection is gone, so its
+    /// line is still in flight when the drain deadline passes.
+    struct Stuck {
+        net: LoopHandle,
+    }
+
+    impl NetService for Stuck {
+        fn handle(&self, line: &str) -> (String, After) {
+            while line == "STUCK" && self.net.connections() > 0 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            (format!("echo {line}"), after_for(line))
+        }
+        fn refusal_line(&self, _refusal: Refusal) -> String {
+            "ERR refused".into()
+        }
+    }
+
+    #[test]
+    fn drain_deadline_force_closes_a_line_that_never_completes() {
+        let flight = Arc::new(poe_obs::FlightRecorder::with_capacity(64));
+        let deadline = Duration::from_millis(200);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let cfg = LoopConfig {
+            drain_deadline: deadline,
+            flight: Some(Arc::clone(&flight)),
+            ..LoopConfig::default()
+        };
+        let (el, _svc) = EventLoop::start(listener, cfg, |net| Stuck { net }).unwrap();
+        let mut stuck = connect(addr);
+        crate::framing::send_line(&mut stuck.get_ref(), "STUCK").unwrap();
+        let mut shooter = connect(addr);
+        assert_eq!(roundtrip(&mut shooter, "SHUTDOWN"), "echo SHUTDOWN");
+        let begin = Instant::now();
+        let report = el.join();
+        let took = begin.elapsed();
+        assert!(
+            report.drain_timed_out,
+            "the stuck line must be force-closed"
+        );
+        assert!(
+            took >= deadline && took < deadline + Duration::from_secs(2),
+            "join took {took:?} against a {deadline:?} drain deadline"
+        );
+        assert!(matches!(stuck.read_line(), ReadOutcome::Closed));
+        let force = flight
+            .snapshot()
+            .into_iter()
+            .find(|e| e.kind == "net.drain.force")
+            .expect("net.drain.force flight event");
+        assert_eq!(force.detail, "stragglers=1");
     }
 }

@@ -18,14 +18,6 @@
 
 #![allow(unsafe_code)]
 
-/// Whether the raw-epoll backend is compiled in for this target.
-pub const fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
-
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -315,8 +307,8 @@ mod imp {
 ))]
 pub use imp::*;
 
-/// Portable stub: every entry point reports `Unsupported`, so callers
-/// fall back to the threads backend.
+/// Portable stub: every entry point reports `Unsupported`, so the event
+/// loop (and with it every serving endpoint) does not start here.
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -385,17 +377,6 @@ pub use imp_stub::*;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn supported_matches_cfg() {
-        assert_eq!(
-            supported(),
-            cfg!(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))
-        );
-    }
 
     #[cfg(all(
         target_os = "linux",

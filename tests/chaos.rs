@@ -8,7 +8,7 @@
 //! a fixed default for local runs — see `poe_chaos::seed_from_env`.
 
 use poe_chaos::{sites, ChaosPlan, Fault, FaultKind};
-use poe_cli::serve::{respond, NetBackend, ServeConfig, Server};
+use poe_cli::serve::{respond, ServeConfig, Server};
 use poe_core::pool::{Expert, ExpertPool};
 use poe_core::service::QueryService;
 use poe_core::store::{load_standalone, save_standalone, PoolSpec};
@@ -78,25 +78,22 @@ fn params_of(m: &Sequential) -> Vec<f32> {
     v
 }
 
-/// Under injected read stalls the server stays responsive: every client
-/// is answered (slowly), HEALTH keeps working, nothing deadlocks.
+/// Under injected event-loop stalls (every read waits behind a stalled
+/// tick) the server stays responsive: every client is answered
+/// (slowly), HEALTH keeps working, nothing deadlocks.
 #[test]
 fn server_answers_under_stalled_reads() {
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
         .with(Fault {
-            site: sites::SERVE_READ_STALL.into(),
+            site: sites::NET_EPOLL_TICK_STALL.into(),
             kind: FaultKind::StallMs(40),
             prob: 1.0,
             max_hits: Some(8),
         })
         .install();
-    let before = poe_chaos::hits(sites::SERVE_READ_STALL);
-    // Pinned to threads: `SERVE_READ_STALL` sits in the blocking
-    // per-connection reader, which the epoll loop never runs (its read
-    // path has its own sites — see the wire-conformance drain test).
+    let before = poe_chaos::hits(sites::NET_EPOLL_TICK_STALL);
     let (server, _svc, addr) = start(ServeConfig {
         workers: 2,
-        net: NetBackend::Threads,
         ..ServeConfig::default()
     });
     let (mut a_w, mut a_r) = client(addr);
@@ -105,7 +102,7 @@ fn server_answers_under_stalled_reads() {
     assert!(ask(&mut b_w, &mut b_r, "HEALTH").starts_with("OK live=1 ready=1"));
     assert!(ask(&mut a_w, &mut a_r, "INFO").starts_with("OK tasks=3"));
     assert!(
-        poe_chaos::hits(sites::SERVE_READ_STALL) > before,
+        poe_chaos::hits(sites::NET_EPOLL_TICK_STALL) > before,
         "stall fault never fired"
     );
     server.handle().shutdown();
@@ -151,14 +148,10 @@ fn worker_panic_kills_connection_not_worker() {
 #[test]
 fn failed_response_writes_are_counted_not_handled() {
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
-        .with(Fault::times(sites::SERVE_WRITE_IO, FaultKind::Io, 1))
+        .with(Fault::times(sites::NET_EPOLL_WRITE_IO, FaultKind::Io, 1))
         .install();
-    // Pinned to threads: `SERVE_WRITE_IO` wraps the blocking-writer
-    // `send_line`; the epoll loop's write path has its own fault site
-    // (`NET_EPOLL_WRITE_IO`, exercised by the wire-conformance drain).
     let (server, svc, addr) = start(ServeConfig {
         workers: 1,
-        net: NetBackend::Threads,
         ..ServeConfig::default()
     });
     let handle = server.handle();
@@ -182,30 +175,50 @@ fn failed_response_writes_are_counted_not_handled() {
     assert_eq!(report.handled, 1);
 }
 
-/// SHUTDOWN drains within its deadline even while chaos stalls reads and
-/// an idle client pins a worker; the drain force-closes stragglers
-/// instead of hanging.
+/// A client that pipelines requests and never reads its answers: once
+/// the socket buffers fill, its connection sits mid-write, in flight,
+/// where the drain cannot refuse it. Returns once the server has stopped
+/// answering it; the writer thread ends when the server closes it.
+fn slow_reader(addr: SocketAddr, svc: &QueryService) -> std::thread::JoinHandle<()> {
+    let mut w = TcpStream::connect(addr).unwrap();
+    let writer = std::thread::spawn(move || while w.write_all(b"METRICS openmetrics\n").is_ok() {});
+    let answered = svc.obs().registry.counter("serve.requests.metrics");
+    // Answers stop once the buffers are full: wait until the count has
+    // not moved for three checks in a row.
+    let (mut last, mut still, begin) = (0, 0, Instant::now());
+    while still < 3 {
+        assert!(
+            begin.elapsed() < Duration::from_secs(20),
+            "slow reader never stalled"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+        let now = answered.get();
+        still = if now > 0 && now == last { still + 1 } else { 0 };
+        last = now;
+    }
+    writer
+}
+
+/// SHUTDOWN drains within its deadline even while chaos stalls the event
+/// loop and a client that stopped reading holds an answer in flight; the
+/// drain force-closes the straggler instead of hanging.
 #[test]
 fn shutdown_drains_within_deadline_under_chaos() {
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
         .with(Fault {
-            site: sites::SERVE_READ_STALL.into(),
+            site: sites::NET_EPOLL_TICK_STALL.into(),
             kind: FaultKind::StallMs(30),
             prob: 0.5,
             max_hits: Some(16),
         })
         .install();
-    // Pinned to threads: the stall site is the blocking reader's, and
-    // `drain_timed_out` here relies on an idle client pinning a worker —
-    // the epoll drain force-closes idle connections without timing out.
-    let (server, _svc, addr) = start(ServeConfig {
+    let (server, svc, addr) = start(ServeConfig {
         workers: 2,
         idle_timeout: None,
         drain_deadline: Duration::from_millis(400),
-        net: NetBackend::Threads,
         ..ServeConfig::default()
     });
-    let (_idle_w, _idle_r) = client(addr); // pins a worker, never speaks
+    let writer = slow_reader(addr, &svc);
     let (mut w, mut r) = client(addr);
     assert_eq!(ask(&mut w, &mut r, "SHUTDOWN"), "OK shutting down");
     let begin = Instant::now();
@@ -215,19 +228,23 @@ fn shutdown_drains_within_deadline_under_chaos() {
         "drain took {:?}",
         begin.elapsed()
     );
-    assert!(report.drain_timed_out, "idle client should be force-closed");
+    assert!(
+        report.drain_timed_out,
+        "the slow reader should be force-closed"
+    );
+    writer.join().unwrap();
     // The listener is gone: the port refuses new connections.
     assert!(TcpStream::connect(addr).is_err());
 }
 
 /// SHUTDOWN drains a half-full micro-batch queue even while chaos stalls
-/// reads: every parked PREDICT is answered exactly once (no losses, no
-/// duplicates) before the connections close.
+/// the event loop: every parked PREDICT is answered exactly once (no
+/// losses, no duplicates) before the connections close.
 #[test]
 fn shutdown_drains_half_full_batch_queue_under_chaos() {
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
         .with(Fault {
-            site: sites::SERVE_READ_STALL.into(),
+            site: sites::NET_EPOLL_TICK_STALL.into(),
             kind: FaultKind::StallMs(20),
             prob: 0.5,
             max_hits: Some(8),
@@ -521,13 +538,18 @@ fn panic_mid_swap_leaves_pool_serving() {
 fn fault_schedule_is_deterministic_per_seed() {
     let run = |seed: u64| -> Vec<bool> {
         let _guard = ChaosPlan::new(seed)
-            .with(Fault::with_prob(sites::SERVE_WRITE_IO, FaultKind::Io, 0.5))
+            .with(Fault::with_prob(
+                sites::NET_EPOLL_WRITE_IO,
+                FaultKind::Io,
+                0.5,
+            ))
             .install();
         let svc = toy_service();
         (0..12)
             .map(|_| {
-                // Exercise the decision stream exactly as send_line does.
-                poe_chaos::fail_io(sites::SERVE_WRITE_IO).is_some()
+                // Exercise the decision stream exactly as the event
+                // loop's response flush does.
+                poe_chaos::fail_io(sites::NET_EPOLL_WRITE_IO).is_some()
             })
             .inspect(|_| {
                 let _ = respond("STATS", &svc, 4);

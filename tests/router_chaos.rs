@@ -351,10 +351,8 @@ fn hedged_read_beats_a_stalled_replica() {
 /// still gets its `OK`, and the flight recorder shows its `request.end`
 /// before `router.backends.closed`.
 ///
-/// The stall sits on the router→shard read (`router.read.stall`), not the
-/// shard's own reader — `SERVE_READ_STALL` would fire inside the router's
-/// reused `BoundedLineReader` and delay the *client* read instead, before
-/// the request ever counts as in flight.
+/// The stall sits on the router→shard read (`router.read.stall`), so it
+/// delays the request after it is already in flight on the router.
 #[test]
 fn shutdown_drains_inflight_scatter_before_closing_backends() {
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())

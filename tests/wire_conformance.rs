@@ -1,17 +1,17 @@
-//! Wire-conformance suite: the `threads` and `epoll` backends must be
-//! indistinguishable on the wire.
+//! Wire-conformance suite: what a client sees on the wire is pinned by
+//! golden transcripts.
 //!
-//! One shared transcript — every verb, every error family, every
-//! connection-closing rejection — is replayed against a server on each
-//! backend and the responses are compared byte-for-byte, modulo the
-//! fields that legitimately vary run to run (latencies, jittered retry
-//! hints, dump paths, metrics payloads — see [`VARIABLE_KEYS`]). A
-//! subset replays against the `poe route` front tier the same way. The
-//! point is that `--net` is an operational knob, not a protocol fork:
-//! any divergence a client could observe is a bug one of these tests
-//! pins.
+//! One transcript — every verb, every error family, every
+//! connection-closing rejection — is replayed against a fresh server and
+//! the responses are compared byte-for-byte with `tests/golden/*.txt`,
+//! modulo the fields that legitimately vary run to run (latencies,
+//! jittered retry hints, dump paths, the SIMD level, metrics payloads —
+//! see [`VARIABLE_KEYS`]). A subset replays against the `poe route`
+//! front tier the same way. The golden files hold the exact bytes
+//! clients see; to change the protocol on purpose, update the golden
+//! file and `docs/PROTOCOL.md` together.
 //!
-//! The file also carries the epoll drain chaos scenario: `SHUTDOWN`
+//! The file also carries the event-loop drain chaos scenario: `SHUTDOWN`
 //! with 1k connections in flight, plus injected write faults and tick
 //! stalls (seeded via `POE_CHAOS_SEED`, pinned in CI), must refuse
 //! every idle connection with a retry hint and join without hitting the
@@ -19,7 +19,7 @@
 
 use poe_chaos::{sites, ChaosPlan, Fault, FaultKind};
 use poe_cli::route::{RouteConfig, RouteServer};
-use poe_cli::serve::{NetBackend, ServeConfig, Server};
+use poe_cli::serve::{ServeConfig, Server};
 use poe_core::pool::{Expert, ExpertPool};
 use poe_core::service::QueryService;
 use poe_data::ClassHierarchy;
@@ -58,8 +58,9 @@ fn start_server(cfg: ServeConfig) -> (Server, SocketAddr) {
 }
 
 /// Response fields that legitimately differ between two correct runs:
-/// latency measurements, jittered retry hints, filesystem paths, and
-/// recorder occupancy. Everything else must match byte-for-byte.
+/// latency measurements, jittered retry hints, filesystem paths,
+/// recorder occupancy, and the SIMD level of the host (`POE_SIMD`).
+/// Everything else must match byte-for-byte.
 const VARIABLE_KEYS: &[&str] = &[
     "assembly_ms",
     "retry_after_ms",
@@ -71,12 +72,12 @@ const VARIABLE_KEYS: &[&str] = &[
     "events",
     "dropped",
     "recorder_dropped",
+    "simd",
 ];
 
-/// Canonicalizes one response for cross-backend comparison. Metrics
-/// payloads collapse to a marker (each backend registers its own
-/// instrument set — `net.*` only exists under epoll — so the payloads
-/// differ by design); everything else keeps its shape with variable
+/// Canonicalizes one response for comparison. Metrics payloads collapse
+/// to a marker (the instrument set grows with the code, which is not a
+/// protocol change); everything else keeps its shape with variable
 /// fields masked.
 fn normalize(resp: &str) -> String {
     if resp.starts_with("OK {") {
@@ -170,7 +171,7 @@ const SESSIONS: &[&[&str]] = &[
     &[
         "INFO",
         "QUERY 1",
-        "QUERY 1", // cache hit: `cached=` flips, and both backends must agree
+        "QUERY 1", // cache hit, answered on the loop thread: `cached=` flips
         "QUERY 0,2",
         "PREDICT 1 : 1 2 3 4",
         "LOGITS 1 : 1 2 3 4",
@@ -203,12 +204,11 @@ const SESSIONS: &[&[&str]] = &[
     &["METRICS", "METRICS json", "METRICS openmetrics", "QUIT"],
 ];
 
-/// Replays the full transcript against a fresh server on `net` and
-/// returns the labeled, normalized response log, ending with the
-/// `SHUTDOWN` session and the server's drain outcome.
-fn serve_transcript(net: NetBackend) -> Vec<String> {
+/// Replays the full transcript against a fresh server and returns the
+/// labeled, normalized response log, ending with the `SHUTDOWN` session
+/// and the server's drain outcome.
+fn serve_transcript() -> Vec<String> {
     let (server, addr) = start_server(ServeConfig {
-        net,
         idle_timeout: Some(Duration::from_secs(10)),
         ..ServeConfig::default()
     });
@@ -229,9 +229,8 @@ fn serve_transcript(net: NetBackend) -> Vec<String> {
 /// Transcript against a server with the connection-limit knobs turned
 /// down: request-per-connection cap, line-length cap, idle timeout —
 /// the whole closing-rejection family.
-fn limits_transcript(net: NetBackend) -> Vec<String> {
+fn limits_transcript() -> Vec<String> {
     let (server, addr) = start_server(ServeConfig {
-        net,
         max_conn_requests: 2,
         max_line_bytes: 64,
         idle_timeout: Some(Duration::from_millis(300)),
@@ -260,48 +259,39 @@ fn limits_transcript(net: NetBackend) -> Vec<String> {
     log
 }
 
-#[test]
-fn serve_backends_are_wire_identical() {
-    if !poe_net::epoll_supported() {
-        return;
+/// Compares a transcript with its golden file line by line, so a
+/// failure names the first diverging response.
+fn assert_matches_golden(got: &[String], golden: &str) {
+    let want: Vec<&str> = golden.lines().collect();
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "response {i} diverges from the golden transcript");
     }
-    let threads = serve_transcript(NetBackend::Threads);
-    let epoll = serve_transcript(NetBackend::Epoll);
-    assert_eq!(threads, epoll);
-    // Guard against the normalizer masking real output: pin a few lines
-    // of the transcript literally.
-    assert!(
-        threads.contains(&"s0: OK tasks=3 experts=3 classes=6".to_string()),
-        "{threads:#?}"
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "transcript length differs from the golden file: {got:#?}"
     );
-    assert!(
-        threads.contains(&"shutdown: OK shutting down".to_string()),
-        "{threads:#?}"
-    );
-    assert!(threads.contains(&"s1: ERR unknown verb `FROB`".to_string()));
-    assert!(threads.iter().filter(|l| l.ends_with("<eof>")).count() >= 4);
 }
 
 #[test]
-fn serve_backends_close_identically_at_the_limits() {
-    if !poe_net::epoll_supported() {
-        return;
-    }
-    let threads = limits_transcript(NetBackend::Threads);
-    let epoll = limits_transcript(NetBackend::Epoll);
-    assert_eq!(threads, epoll);
-    assert!(
-        threads.contains(&"cap: ERR connection request limit reached".to_string()),
-        "{threads:#?}"
-    );
-    assert!(
-        threads.contains(&"oversize: ERR line too long (max 64 bytes)".to_string()),
-        "{threads:#?}"
-    );
-    assert!(
-        threads.contains(&"idle: ERR idle timeout".to_string()),
-        "{threads:#?}"
-    );
+fn serve_transcript_matches_golden() {
+    let log = serve_transcript();
+    assert_matches_golden(&log, include_str!("golden/serve.txt"));
+    // Guard against the normalizer masking real output: pin a few lines
+    // of the transcript literally.
+    assert!(log.contains(&"s0: OK tasks=3 experts=3 classes=6".to_string()));
+    assert!(log.contains(&"shutdown: OK shutting down".to_string()));
+    assert!(log.contains(&"s1: ERR unknown verb `FROB`".to_string()));
+    assert!(log.iter().filter(|l| l.ends_with("<eof>")).count() >= 4);
+}
+
+#[test]
+fn limits_transcript_matches_golden() {
+    let log = limits_transcript();
+    assert_matches_golden(&log, include_str!("golden/limits.txt"));
+    assert!(log.contains(&"cap: ERR connection request limit reached".to_string()));
+    assert!(log.contains(&"oversize: ERR line too long (max 64 bytes)".to_string()));
+    assert!(log.contains(&"idle: ERR idle timeout".to_string()));
 }
 
 /// The router subset of the transcript: every router verb plus the
@@ -325,25 +315,18 @@ const ROUTE_SESSIONS: &[&[&str]] = &[
     ],
 ];
 
-/// Replays the router transcript against a fresh router AND a fresh
-/// pair of shard fixtures — shard-side state (the consolidation cache)
-/// must not leak between the two compared runs.
-fn route_transcript(net: NetBackend) -> Vec<String> {
-    let (shard_a, addr_a) = start_server(ServeConfig {
-        net: NetBackend::Threads,
-        ..ServeConfig::default()
-    });
-    let (shard_b, addr_b) = start_server(ServeConfig {
-        net: NetBackend::Threads,
-        ..ServeConfig::default()
-    });
+/// Replays the router transcript against a fresh router over a fresh
+/// pair of shard fixtures (the `cached=` fields depend on shard-side
+/// cache state).
+fn route_transcript() -> Vec<String> {
+    let (shard_a, addr_a) = start_server(ServeConfig::default());
+    let (shard_b, addr_b) = start_server(ServeConfig::default());
     let map = ShardMap::parse(&format!("0-1={addr_a};2={addr_b}")).unwrap();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let server = RouteServer::start(
         listener,
         map,
         RouteConfig {
-            net,
             idle_timeout: Some(Duration::from_secs(10)),
             ..RouteConfig::default()
         },
@@ -368,34 +351,23 @@ fn route_transcript(net: NetBackend) -> Vec<String> {
 }
 
 #[test]
-fn route_backends_are_wire_identical() {
-    if !poe_net::epoll_supported() {
-        return;
-    }
-    let threads = route_transcript(NetBackend::Threads);
-    let epoll = route_transcript(NetBackend::Epoll);
-    assert_eq!(threads, epoll);
-    assert!(
-        threads.contains(&"r1: ERR unknown verb `STATS`".to_string()),
-        "{threads:#?}"
-    );
-    assert!(threads.contains(&"shutdown: OK shutting down".to_string()));
+fn route_transcript_matches_golden() {
+    let log = route_transcript();
+    assert_matches_golden(&log, include_str!("golden/route.txt"));
+    assert!(log.contains(&"r1: ERR unknown verb `STATS`".to_string()));
+    assert!(log.contains(&"shutdown: OK shutting down".to_string()));
 }
 
-/// `SHUTDOWN` with 1k connections open against the epoll backend, under
+/// `SHUTDOWN` with 1k connections open on the event loop, under
 /// injected refusal-write faults and event-loop tick stalls: every
 /// connection must still be either refused with a retry hint or closed,
 /// and the drain must finish inside the deadline. Chaos draws from
 /// `POE_CHAOS_SEED` (pinned in CI), like every other chaos scenario.
 #[test]
 fn shutdown_drains_1k_inflight_epoll_connections() {
-    if !poe_net::epoll_supported() {
-        return;
-    }
     const N: usize = 1000;
     let _ = poe_net::sys::raise_nofile_limit(4 * N as u64);
     let (server, addr) = start_server(ServeConfig {
-        net: NetBackend::Epoll,
         idle_timeout: None,
         drain_deadline: Duration::from_secs(10),
         ..ServeConfig::default()
