@@ -57,6 +57,10 @@ pub mod sites {
     /// Panic injected into a batched forward pass (the flush path) — the
     /// scheduler must contain it and abort only the affected batch.
     pub const SERVE_BATCH_PANIC: &str = "serve.batch.panic";
+    /// Stall injected at the start of a micro-batch flush, before its
+    /// counters and its forward pass — a slow flush, behind which rows of
+    /// the same task set park and form the next batch.
+    pub const SERVE_BATCH_STALL: &str = "serve.batch.stall";
     /// Panic injected into a matmul shard running on the compute pool —
     /// the dispatcher must recompute the lost shard inline instead of
     /// propagating the panic to the caller.

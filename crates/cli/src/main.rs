@@ -50,7 +50,7 @@ USAGE
             [--trace on|off] [--trace-out PATH] [--slow-query-ms N]
             [--metrics-every N] [--idle-timeout-ms N]
             [--max-conn-requests N] [--drain-deadline-ms N]
-            [--max-batch N] [--batch-delay-us N]
+            [--max-batch N]
             [--recorder-events N] [--recorder-dir DIR]
             [--resident-experts N]
       TCP model-query server (line protocol: INFO / QUERY t,… /
@@ -60,9 +60,8 @@ USAGE
       ephemeral port. Linux only (x86-64, aarch64): one epoll event
       loop holds every connection and answers INFO, HEALTH and QUERYs
       for cached task sets itself; every other line runs on one of
-      --workers N dispatch threads (default 4). A PREDICT waiting for its
-      micro-batch holds its worker for up to --batch-delay-us. Past
-      16384 open connections new ones are shed with `ERR busy`.
+      --workers N dispatch threads (default 4). Past 16384 open
+      connections new ones are shed with `ERR busy`.
       Repeated task sets are answered from the consolidation cache,
       STATS reports
       assembly-latency percentiles, METRICS dumps the full JSON snapshot
@@ -75,11 +74,13 @@ USAGE
       requests per connection (0 = no cap), --drain-deadline-ms bounds
       the graceful-shutdown drain (default 5000). PREDICTs from
       concurrent connections that name the same task set are coalesced
-      into one batched inference: --max-batch caps the batch (default 32;
-      ≤1 disables batching) and --batch-delay-us bounds how long the
-      first request waits for company (default 1000). The always-on
-      flight recorder keeps the last --recorder-events structured events
-      (default 4096) and dumps them as JSONL to --recorder-dir on
+      into one batched inference without waiting for company: a PREDICT
+      runs at once unless a batch of its task set is running, and the
+      PREDICTs that arrive meanwhile form the next batch when it ends.
+      --max-batch caps the batch (default 32; 1 runs every PREDICT
+      alone). The always-on flight recorder keeps the last
+      --recorder-events structured events (default 4096) and dumps them
+      as JSONL to --recorder-dir on
       SHUTDOWN, on a panic, and on the DUMP verb (read dumps with
       `poe obs`). With a v4 segment store (experts.poem) experts load
       lazily on first query; --resident-experts caps how many stay in
@@ -435,9 +436,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let max_batch = a
         .get_parsed("max-batch", serve::DEFAULT_MAX_BATCH, "usize")
         .map_err(|e| e.to_string())?;
-    let batch_delay_us = a
-        .get_parsed("batch-delay-us", serve::DEFAULT_BATCH_DELAY_US, "u64")
-        .map_err(|e| e.to_string())?;
     let recorder_events = a
         .get_parsed("recorder-events", poe_obs::DEFAULT_RECORDER_EVENTS, "usize")
         .map_err(|e| e.to_string())?;
@@ -547,7 +545,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         .pool_error(pool_error)
         .metrics_on_shutdown(true)
         .max_batch(max_batch)
-        .batch_delay(std::time::Duration::from_micros(batch_delay_us))
         .recorder_events(recorder_events)
         .recorder_dir(recorder_dir)
         .start(listener, std::sync::Arc::clone(&service), input_dim)

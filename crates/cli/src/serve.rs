@@ -15,17 +15,20 @@
 //!
 //! ## Cross-connection micro-batching
 //!
-//! Under a running [`Server`], `PREDICT` requests are not answered one by
-//! one: each is parked in a per-task-set batch queue (keyed on the
-//! *sorted* task set, exactly like the consolidation cache) and a
-//! batch scheduler flushes a queue when it reaches
-//! [`ServeConfig::max_batch`] samples or [`ServeConfig::batch_delay`]
-//! elapses — whichever comes first. A flush runs **one** batched
+//! Under a running [`Server`], `PREDICT` batching is work-conserving: it
+//! batches only what is already waiting and never waits for company.
+//! Requests are grouped by their *sorted* task set, exactly like the
+//! consolidation cache. A `PREDICT` whose task set has no flush running
+//! is flushed at once, as a batch of itself. Rows that arrive while that
+//! flush runs park in the task set's queue; when the flush ends they
+//! become the next batch, so batch size rises with load, not with a
+//! timer. A queue that reaches [`ServeConfig::max_batch`] rows is flushed
+//! at once by the request that filled it. A flush runs **one** batched
 //! inference through the shared CoW-assembled model
 //! ([`poe_core::service::QueryService::predict_batch`]) and demultiplexes
 //! the per-row predictions back to the waiting connections, so concurrent
 //! clients asking for the same composite model amortize both the
-//! consolidation and the matmuls. `SHUTDOWN` drains every parked queue
+//! consolidation and the matmuls. `SHUTDOWN` flushes every parked queue
 //! before the connection drain begins, so no parked request is lost.
 //! Batching is invisible on the wire: same grammar, one response per
 //! request line, responses on each connection in request order. Every
@@ -111,17 +114,13 @@ pub const DEFAULT_MAX_BATCH: usize = 32;
 /// Default concurrent-connection cap.
 pub const DEFAULT_MAX_CONNS: usize = 16 * 1024;
 
-/// Default micro-batch window in microseconds: how long the first request
-/// of a batch waits for company before a timeout flush.
-pub const DEFAULT_BATCH_DELAY_US: u64 = 1000;
-
 /// Tuning knobs of the serving substrate. `ServeConfig::default()` is a
 /// sane lab setup; `docs/OPERATIONS.md` discusses sizing.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Dispatch worker threads (min 1): they answer every line the event
-    /// loop does not answer inline. A `PREDICT` parked in a micro-batch
-    /// holds its worker for up to [`ServeConfig::batch_delay`].
+    /// loop does not answer inline. A `PREDICT` parked behind a running
+    /// flush of its task set holds its worker until that flush ends.
     pub workers: usize,
     /// Stop after this many requests (`u64::MAX` = run forever).
     pub max_requests: u64,
@@ -151,13 +150,11 @@ pub struct ServeConfig {
     /// Print a final `METRICS <json>` line to stderr when the server
     /// shuts down (the lifecycle's metrics flush).
     pub metrics_on_shutdown: bool,
-    /// Micro-batching: flush a per-task-set `PREDICT` queue once it holds
-    /// this many samples. Values ≤ 1 disable cross-connection batching
-    /// (every `PREDICT` runs immediately, as a batch of one).
+    /// Micro-batching: the most rows one flush carries. A per-task-set
+    /// queue that fills to this many rows behind a running flush is
+    /// flushed at once. Values ≤ 1 mean 1: every `PREDICT` is its own
+    /// flush.
     pub max_batch: usize,
-    /// Micro-batching: flush a non-empty queue this long after its first
-    /// request arrived, even if it never fills (bounds added latency).
-    pub batch_delay: Duration,
     /// Flight-recorder ring capacity (events retained); applied to the
     /// service's recorder when the server starts.
     pub recorder_events: usize,
@@ -184,7 +181,6 @@ impl Default for ServeConfig {
             pool_error: None,
             metrics_on_shutdown: false,
             max_batch: DEFAULT_MAX_BATCH,
-            batch_delay: Duration::from_micros(DEFAULT_BATCH_DELAY_US),
             recorder_events: poe_obs::DEFAULT_RECORDER_EVENTS,
             recorder_dir: None,
             max_conns: DEFAULT_MAX_CONNS,
@@ -276,15 +272,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Micro-batch flush size (≤ 1 disables cross-connection batching).
+    /// Most rows per micro-batch flush (clamped to ≥ 1; 1 makes every
+    /// `PREDICT` its own flush).
     pub fn max_batch(mut self, n: usize) -> Self {
-        self.cfg.max_batch = n;
-        self
-    }
-
-    /// Micro-batch flush delay after the first queued request.
-    pub fn batch_delay(mut self, t: Duration) -> Self {
-        self.cfg.batch_delay = t;
+        self.cfg.max_batch = n.max(1);
         self
     }
 
@@ -370,12 +361,12 @@ struct BatchMetrics {
     /// `serve.batch.queue_depth` — samples currently parked across all
     /// per-task-set queues.
     queue_depth: Arc<poe_obs::Gauge>,
+    /// `serve.batch.flush.ready` — flushes that start because no flush of
+    /// their task set was running, or because the previous one ended.
+    flush_ready: Arc<poe_obs::Counter>,
     /// `serve.batch.flush.full` — flushes triggered by a full queue.
     flush_full: Arc<poe_obs::Counter>,
-    /// `serve.batch.flush.timeout` — flushes triggered by the delay timer.
-    flush_timeout: Arc<poe_obs::Counter>,
-    /// `serve.batch.flush.drain` — flushes triggered by shutdown drain
-    /// (including post-drain stragglers run as batches of one).
+    /// `serve.batch.flush.drain` — flushes of parked rows at shutdown.
     flush_drain: Arc<poe_obs::Counter>,
     /// `serve.batch.aborted` — batches lost to a panic inside the batched
     /// inference; their requests answer `ERR batch aborted`.
@@ -388,134 +379,155 @@ impl BatchMetrics {
         BatchMetrics {
             size: r.histogram("serve.batch.size"),
             queue_depth: r.gauge("serve.batch.queue_depth"),
+            flush_ready: r.counter("serve.batch.flush.ready"),
             flush_full: r.counter("serve.batch.flush.full"),
-            flush_timeout: r.counter("serve.batch.flush.timeout"),
             flush_drain: r.counter("serve.batch.flush.drain"),
             aborted: r.counter("serve.batch.aborted"),
         }
     }
 }
 
-/// One `PREDICT` parked in a batch queue: its feature row and the
-/// single-use channel its prediction comes back on. Dropping the sender
-/// without sending wakes the parked request with [`WireError::BatchAborted`].
+/// What a parked request's worker receives on its channel: its own
+/// answer, or the next batch of its task set to flush (its own row among
+/// them). Dropping the sender without sending wakes the worker with
+/// [`WireError::BatchAborted`].
+enum Handoff {
+    Answer(Result<Prediction, QueryError>),
+    Lead(Vec<Parked>),
+}
+
+/// One `PREDICT` row in the scheduler: its features and the single-use
+/// channel its answer (or a batch to lead) comes back on.
 struct Parked {
     features: Vec<f32>,
-    tx: SyncSender<Result<Prediction, QueryError>>,
-    /// The parked request's id, captured at submit time so flush events in
-    /// the flight recorder can name every row they answered (or lost).
+    tx: SyncSender<Handoff>,
+    /// The request's id, captured at submit time so flush events in the
+    /// flight recorder can name every row they answered (or lost).
     request_id: u64,
 }
 
-/// The rows accumulated for one task set, plus the deadline by which the
-/// timer thread flushes them regardless of fill.
-struct PendingBatch {
-    rows: Vec<Parked>,
-    deadline: Instant,
-}
-
-/// The cross-connection micro-batch scheduler.
+/// The work-conserving cross-connection micro-batch scheduler.
 ///
-/// `PREDICT` requests park in per-task-set queues (keyed on the *sorted*
-/// task set, mirroring the consolidation cache, so permutations of the
-/// same composite task share a batch). A queue flushes when it reaches
-/// `max_batch` rows — inline, on the worker that filled it — or when
-/// `delay` elapses since its first row, on the dedicated timer thread.
-/// A flush runs one [`QueryService::predict_batch`] and demultiplexes the
-/// per-row predictions back to the parked connections.
+/// Rows are grouped by *sorted* task set, mirroring the consolidation
+/// cache, so permutations of the same composite task share a batch. A
+/// task set has an entry in `queues` exactly while a flush of it runs;
+/// the entry holds the rows parked behind that flush.
 ///
-/// [`BatchScheduler::drain`] (shutdown) flushes every queue and marks the
-/// scheduler drained; requests submitted after that run immediately as
-/// batches of one, so nothing is ever lost or answered twice.
+/// * No entry: the row is flushed at once on its own worker, as a batch
+///   of itself (cause `ready`).
+/// * An entry: the row parks in it. A queue that reaches `max_batch` rows
+///   is flushed inline by the worker that filled it (cause `full`).
+/// * When a flush ends, the rows parked by then become the next batch
+///   (cause `ready`), handed to the worker of one of its own rows through
+///   that row's channel. The worker that just finished then returns its
+///   own answer at once, so no row waits behind a later flush and no
+///   connection starves under sustained load on a hot task set.
+///
+/// Every parked row sits behind a running flush that hands it on, so no
+/// timer is needed. [`BatchScheduler::drain`] (shutdown) flushes what is
+/// parked at once; later arrivals take the normal path.
 struct BatchScheduler {
     service: Arc<QueryService>,
     input_dim: usize,
     max_batch: usize,
-    delay: Duration,
-    /// `None` once drained; the timer thread exits when it sees that.
-    queues: Mutex<Option<HashMap<Vec<usize>, PendingBatch>>>,
-    cvar: Condvar,
+    queues: Mutex<HashMap<Vec<usize>, Vec<Parked>>>,
     metrics: BatchMetrics,
 }
 
 impl BatchScheduler {
-    fn new(service: Arc<QueryService>, input_dim: usize, cfg: &ServeConfig) -> Self {
+    fn new(service: Arc<QueryService>, input_dim: usize, max_batch: usize) -> Self {
         let metrics = BatchMetrics::register(&service);
         BatchScheduler {
             service,
             input_dim,
-            max_batch: cfg.max_batch.max(2),
-            delay: cfg.batch_delay,
-            queues: Mutex::new(Some(HashMap::new())),
-            cvar: Condvar::new(),
+            max_batch: max_batch.max(1),
+            queues: Mutex::new(HashMap::new()),
             metrics,
         }
     }
 
-    fn lock_queues(&self) -> MutexGuard<'_, Option<HashMap<Vec<usize>, PendingBatch>>> {
+    fn lock_queues(&self) -> MutexGuard<'_, HashMap<Vec<usize>, Vec<Parked>>> {
         self.queues.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Parks one request and blocks until its batch is flushed, returning
-    /// this row's prediction (or the whole batch's consolidation error).
+    /// Runs one request through the scheduler and blocks until its row is
+    /// answered, returning this row's prediction (or the whole batch's
+    /// consolidation error).
     fn submit(&self, mut tasks: Vec<usize>, features: Vec<f32>) -> Result<Prediction, WireError> {
         tasks.sort_unstable(); // batch key = sorted task set, like the cache
-        let request_id = poe_obs::current_request_id();
-        let (rx, full) = {
-            let mut guard = self.lock_queues();
-            let Some(queues) = guard.as_mut() else {
-                // Drained: no timer thread will come, so run immediately.
-                drop(guard);
-                return self.run_straggler(&tasks, features, request_id);
-            };
-            let (tx, rx) = sync_channel(1);
-            let batch = queues.entry(tasks.clone()).or_insert_with(|| PendingBatch {
-                rows: Vec::new(),
-                deadline: Instant::now() + self.delay,
-            });
-            batch.rows.push(Parked {
-                features,
-                tx,
-                request_id,
-            });
-            let full = if batch.rows.len() >= self.max_batch {
-                queues.remove(&tasks)
-            } else {
-                None
-            };
-            self.metrics.queue_depth.set(depth_of(queues) as f64);
-            (rx, full)
+        let (tx, rx) = sync_channel(1);
+        let row = Parked {
+            features,
+            tx,
+            request_id: poe_obs::current_request_id(),
         };
-        match full {
-            Some(batch) => {
-                // This request completed the batch: flush inline (the
-                // sends below include our own row, so recv cannot block).
-                self.flush(&tasks, batch, "full");
+        let mut batch = {
+            let mut queues = self.lock_queues();
+            match queues.get_mut(&tasks) {
+                None => {
+                    queues.insert(tasks.clone(), Vec::new());
+                    Some((vec![row], "ready"))
+                }
+                Some(parked) => {
+                    parked.push(row);
+                    let full = (parked.len() >= self.max_batch).then(|| std::mem::take(parked));
+                    self.metrics.queue_depth.set(depth_of(&queues) as f64);
+                    full.map(|rows| (rows, "full"))
+                }
             }
-            // A new row may have moved the earliest deadline: wake the
-            // timer thread to re-arm.
-            None => self.cvar.notify_all(),
-        }
-        match rx.recv() {
-            Ok(Ok(p)) => Ok(p),
-            Ok(Err(e)) => Err(WireError::Query(e)),
-            Err(_) => Err(WireError::BatchAborted),
+        };
+        loop {
+            if let Some((rows, cause)) = batch.take() {
+                // Our own row is in `rows`, so its answer is waiting in
+                // `rx` once the flush returns.
+                self.flush(&tasks, rows, cause);
+                self.hand_off(&tasks);
+            }
+            match rx.recv() {
+                Ok(Handoff::Answer(Ok(p))) => return Ok(p),
+                Ok(Handoff::Answer(Err(e))) => return Err(WireError::Query(e)),
+                Ok(Handoff::Lead(rows)) => batch = Some((rows, "ready")),
+                Err(_) => return Err(WireError::BatchAborted),
+            }
         }
     }
 
+    /// Ends a flush of `tasks`: the rows parked behind it become the next
+    /// batch, handed to the worker of its first row. With none parked the
+    /// task set goes idle, and its next row is flushed at once.
+    fn hand_off(&self, tasks: &[usize]) {
+        let next = {
+            let mut queues = self.lock_queues();
+            let next = match queues.get_mut(tasks) {
+                Some(parked) if !parked.is_empty() => std::mem::take(parked),
+                _ => {
+                    queues.remove(tasks);
+                    return;
+                }
+            };
+            self.metrics.queue_depth.set(depth_of(&queues) as f64);
+            next
+        };
+        // That worker waits in `recv` on an empty channel until one of
+        // its task set's flushes answers its row, so this send neither
+        // blocks nor fails.
+        let lead = next[0].tx.clone();
+        let _ = lead.send(Handoff::Lead(next));
+    }
+
     /// Runs one batched inference and demultiplexes per-row results to
-    /// every parked connection. `cause` names what triggered the flush
-    /// (`full` / `timeout` / `drain`) and drives both the per-cause flush
+    /// every parked connection. `cause` names what started the flush
+    /// (`ready` / `full` / `drain`) and drives both the per-cause flush
     /// counter and the `batch.flush` flight-recorder event. A panic inside
     /// the model (a bug, or an injected chaos fault) is contained here:
     /// the senders drop, every waiter answers `ERR batch aborted`, a
     /// `batch.abort` event names the lost request ids, and the scheduler
     /// lives on.
-    fn flush(&self, tasks: &[usize], batch: PendingBatch, cause: &'static str) {
-        let rows = batch.rows;
+    fn flush(&self, tasks: &[usize], rows: Vec<Parked>, cause: &'static str) {
+        poe_chaos::stall(poe_chaos::sites::SERVE_BATCH_STALL);
         match cause {
+            "ready" => self.metrics.flush_ready.inc(),
             "full" => self.metrics.flush_full.inc(),
-            "timeout" => self.metrics.flush_timeout.inc(),
             _ => self.metrics.flush_drain.inc(),
         }
         self.metrics.size.record_n(rows.len() as u64);
@@ -541,12 +553,12 @@ impl BatchScheduler {
         })) {
             Ok(Ok(preds)) => {
                 for (p, parked) in preds.into_iter().zip(rows) {
-                    let _ = parked.tx.send(Ok(p));
+                    let _ = parked.tx.send(Handoff::Answer(Ok(p)));
                 }
             }
             Ok(Err(e)) => {
                 for parked in rows {
-                    let _ = parked.tx.send(Err(e.clone()));
+                    let _ = parked.tx.send(Handoff::Answer(Err(e.clone())));
                 }
             }
             Err(_) => {
@@ -565,98 +577,37 @@ impl BatchScheduler {
         }
     }
 
-    /// A post-drain request: run it alone, still through [`Self::flush`]
-    /// so `service.batch.*` accounting and flight-recorder events stay
-    /// complete.
-    fn run_straggler(
-        &self,
-        tasks: &[usize],
-        features: Vec<f32>,
-        request_id: u64,
-    ) -> Result<Prediction, WireError> {
-        let (tx, rx) = sync_channel(1);
-        let batch = PendingBatch {
-            rows: vec![Parked {
-                features,
-                tx,
-                request_id,
-            }],
-            deadline: Instant::now(),
-        };
-        self.flush(tasks, batch, "drain");
-        match rx.recv() {
-            Ok(Ok(p)) => Ok(p),
-            Ok(Err(e)) => Err(WireError::Query(e)),
-            Err(_) => Err(WireError::BatchAborted),
-        }
-    }
-
-    /// Shutdown: flush every parked queue (no request is lost) and mark
-    /// the scheduler drained so the timer thread exits. Idempotent.
+    /// Shutdown: flush every parked queue now instead of behind its
+    /// running flush, so parked requests are answered before the
+    /// connection drain begins. The running flushes still end as usual.
+    /// Idempotent.
     fn drain(&self) {
-        let taken = self.lock_queues().take();
-        self.cvar.notify_all();
-        let Some(queues) = taken else { return };
-        for (tasks, batch) in queues {
-            self.flush(&tasks, batch, "drain");
+        let parked: Vec<(Vec<usize>, Vec<Parked>)> = {
+            let mut queues = self.lock_queues();
+            let parked = queues
+                .iter_mut()
+                .filter(|(_, rows)| !rows.is_empty())
+                .map(|(tasks, rows)| (tasks.clone(), std::mem::take(rows)))
+                .collect();
+            self.metrics.queue_depth.set(0.0);
+            parked
+        };
+        for (tasks, rows) in parked {
+            self.flush(&tasks, rows, "drain");
         }
-        self.metrics.queue_depth.set(0.0);
     }
 
-    /// Parked rows across all queues and the number of non-empty queues —
+    /// Non-empty per-task-set queues and the rows parked across them —
     /// the `HEALTH` verb's `batch_queues`/`batch_depth` fields.
     fn queue_stats(&self) -> (usize, usize) {
-        match self.lock_queues().as_ref() {
-            Some(queues) => (queues.len(), depth_of(queues)),
-            None => (0, 0),
-        }
+        let queues = self.lock_queues();
+        let non_empty = queues.values().filter(|rows| !rows.is_empty()).count();
+        (non_empty, depth_of(&queues))
     }
 }
 
-fn depth_of(queues: &HashMap<Vec<usize>, PendingBatch>) -> usize {
-    queues.values().map(|b| b.rows.len()).sum()
-}
-
-/// The timer thread: flushes batches whose delay window expired. Full-queue
-/// flushes happen inline on worker threads; this thread only enforces the
-/// latency bound and exits once [`BatchScheduler::drain`] runs.
-fn batcher_loop(scheduler: Arc<BatchScheduler>) {
-    let mut guard = scheduler.lock_queues();
-    while let Some(queues) = guard.as_mut() {
-        let now = Instant::now();
-        let expired: Vec<Vec<usize>> = queues
-            .iter()
-            .filter(|(_, b)| b.deadline <= now)
-            .map(|(k, _)| k.clone())
-            .collect();
-        if !expired.is_empty() {
-            let batches: Vec<(Vec<usize>, PendingBatch)> = expired
-                .into_iter()
-                .filter_map(|k| queues.remove(&k).map(|b| (k, b)))
-                .collect();
-            scheduler.metrics.queue_depth.set(depth_of(queues) as f64);
-            drop(guard);
-            for (tasks, batch) in batches {
-                scheduler.flush(&tasks, batch, "timeout");
-            }
-            guard = scheduler.lock_queues();
-            continue;
-        }
-        guard = match queues.values().map(|b| b.deadline).min() {
-            Some(deadline) => {
-                let wait = deadline.saturating_duration_since(now);
-                scheduler
-                    .cvar
-                    .wait_timeout(guard, wait)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
-            }
-            None => scheduler
-                .cvar
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner),
-        };
-    }
+fn depth_of(queues: &HashMap<Vec<usize>, Vec<Parked>>) -> usize {
+    queues.values().map(Vec::len).sum()
 }
 
 /// The server state every thread shares; it is also the event loop's
@@ -671,8 +622,7 @@ struct ServerShared {
     cvar: Condvar,
     draining: AtomicBool,
     metrics: ServeMetrics,
-    /// The micro-batch scheduler; `None` when `cfg.max_batch ≤ 1`.
-    batcher: Option<Arc<BatchScheduler>>,
+    batcher: BatchScheduler,
     net: LoopHandle,
 }
 
@@ -696,9 +646,7 @@ impl ServerShared {
             .record_for(0, "server.drain", format!("addr={}", self.addr));
         // Flush parked PREDICT batches first, so every already-accepted
         // request is answered before the connection drain begins.
-        if let Some(b) = &self.batcher {
-            b.drain();
-        }
+        self.batcher.drain();
         self.net.shutdown();
         // Taking the lock orders this wakeup after `join`'s check.
         drop(self.lock_handled());
@@ -789,8 +737,8 @@ impl NetService for ServerShared {
     }
 }
 
-/// A running query server: the event loop and its dispatch pool, plus
-/// the batch timer thread, all joined on shutdown.
+/// A running query server: the event loop and its dispatch pool, both
+/// joined on shutdown.
 ///
 /// [`Server::start`] returns immediately; [`Server::join`] blocks until
 /// the request budget is spent, the listener dies, or a shutdown is
@@ -800,7 +748,6 @@ impl NetService for ServerShared {
 pub struct Server {
     shared: Arc<ServerShared>,
     event_loop: EventLoop,
-    batcher: Option<std::thread::JoinHandle<()>>,
 }
 
 /// A cloneable remote control for a [`Server`] (shutdown, progress).
@@ -851,8 +798,7 @@ impl Server {
                 cfg.max_batch
             ),
         );
-        let batcher = (cfg.max_batch > 1)
-            .then(|| Arc::new(BatchScheduler::new(Arc::clone(&service), input_dim, &cfg)));
+        let batcher = BatchScheduler::new(Arc::clone(&service), input_dim, cfg.max_batch);
         let loop_cfg = LoopConfig {
             max_line_bytes: cfg.max_line_bytes,
             idle_timeout: cfg.idle_timeout,
@@ -875,18 +821,7 @@ impl Server {
             batcher,
             net,
         })?;
-        let batcher = shared.batcher.as_ref().map(|b| {
-            let b = Arc::clone(b);
-            std::thread::Builder::new()
-                .name("poe-serve-batcher".into())
-                .spawn(move || batcher_loop(b))
-                .expect("spawn serve batcher")
-        });
-        Ok(Server {
-            shared,
-            event_loop,
-            batcher,
-        })
+        Ok(Server { shared, event_loop })
     }
 
     /// A cloneable control handle (usable from other threads).
@@ -909,7 +844,7 @@ impl Server {
     /// Blocks until the server finishes (budget spent, listener error, or
     /// shutdown requested), drains within the configured deadline, joins
     /// every thread, and reports.
-    pub fn join(mut self) -> std::io::Result<ServeReport> {
+    pub fn join(self) -> std::io::Result<ServeReport> {
         // Every way out (budget spent, listener error, SHUTDOWN) starts
         // the drain first.
         {
@@ -928,11 +863,6 @@ impl Server {
         let report = self.event_loop.join();
         if report.drain_timed_out {
             self.shared.metrics.drain_timeouts.inc();
-        }
-        // trigger_shutdown drained the batch queues; the timer thread saw
-        // the drained marker and exited.
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
         }
 
         // The black box's shutdown entry, then the final dump (when a
@@ -1201,11 +1131,10 @@ fn respond_inner(
             match wire::parse_features(&features, input_dim) {
                 Err(e) => e.line(),
                 Ok(features) => {
-                    // Under a running server, park in the micro-batch queue
-                    // for this task set; standalone (or with batching off),
-                    // run immediately as a batch of one.
-                    let result = match server.and_then(|s| s.batcher.as_deref()) {
-                        Some(b) => b.submit(tasks, features),
+                    // Under a running server, go through the micro-batch
+                    // scheduler; standalone, run as a batch of one.
+                    let result = match server {
+                        Some(s) => s.batcher.submit(tasks, features),
                         None => direct_predict(service, &tasks, features, input_dim),
                     };
                     match result {
@@ -1238,9 +1167,9 @@ fn column_tasks(model: &poe_models::BranchedModel) -> Vec<usize> {
         .collect()
 }
 
-/// The unbatched `PREDICT` path (library `respond` without a server, or
-/// batching disabled): consolidate through the shared cache and classify
-/// the one row.
+/// The unbatched `PREDICT` path of the library `respond` without a
+/// server: consolidate through the shared cache and classify the one
+/// row.
 fn direct_predict(
     service: &QueryService,
     tasks: &[usize],
@@ -1277,10 +1206,7 @@ fn health_line(service: &QueryService, server: Option<&ServerShared>) -> String 
     let draining = s.draining.load(Ordering::Acquire);
     let rate = s.shed_rate();
     let ready = pool_ok && !draining && alive > 0 && rate <= s.cfg.shed_rate_threshold;
-    let (batch_queues, batch_depth) = s
-        .batcher
-        .as_deref()
-        .map_or((0, 0), BatchScheduler::queue_stats);
+    let (batch_queues, batch_depth) = s.batcher.queue_stats();
     // `role=` rides at the tail (new fields append, never reorder — see
     // PROTOCOL.md): a `poe serve` process is always the shard role; the
     // router renders its own HEALTH with `role=router`.
@@ -1426,14 +1352,16 @@ fn join_f32(v: &[f32]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use poe_chaos::{sites, ChaosGuard, ChaosPlan, Fault, FaultKind};
     use poe_core::pool::{Expert, ExpertPool};
     use poe_data::ClassHierarchy;
     use poe_nn::layers::{Linear, Sequential};
     use poe_tensor::Prng;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::thread::JoinHandle;
 
-    fn toy_service() -> Arc<QueryService> {
+    fn toy_pool() -> ExpertPool {
         let mut rng = Prng::seed_from_u64(1);
         let hierarchy = ClassHierarchy::contiguous(6, 3);
         let library = Sequential::new().push(Linear::new("lib", 4, 5, &mut rng));
@@ -1448,15 +1376,91 @@ mod tests {
                 head,
             });
         }
-        Arc::new(QueryService::builder(pool).build())
+        pool
+    }
+
+    fn toy_service() -> Arc<QueryService> {
+        Arc::new(QueryService::builder(toy_pool()).build())
+    }
+
+    /// The toy service with a flight recorder of its own, so a test can
+    /// read its server's events without other tests' events in between.
+    fn toy_service_with_own_recorder() -> Arc<QueryService> {
+        let obs = Arc::new(poe_obs::Observability {
+            flight: Arc::new(poe_obs::FlightRecorder::with_capacity(
+                poe_obs::DEFAULT_RECORDER_EVENTS,
+            )),
+            ..poe_obs::Observability::default()
+        });
+        Arc::new(QueryService::builder(toy_pool()).observability(obs).build())
     }
 
     fn start(cfg: ServeConfig) -> (Server, Arc<QueryService>, SocketAddr) {
-        let svc = toy_service();
+        start_on(toy_service(), cfg)
+    }
+
+    fn start_on(
+        svc: Arc<QueryService>,
+        cfg: ServeConfig,
+    ) -> (Server, Arc<QueryService>, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let server = Server::start(listener, Arc::clone(&svc), 4, cfg).unwrap();
         let addr = server.local_addr();
         (server, svc, addr)
+    }
+
+    /// How long a stalled flush sleeps: long enough for the rows a test
+    /// sends next to park behind it.
+    const STALL_MS: u64 = 1000;
+
+    /// Installs a chaos plan that stalls the first `flushes` batch flushes
+    /// for `ms` each. Every test that flushes through a server holds this
+    /// guard (`stall_flushes(0, 0)` stalls nothing): the plan and its
+    /// lock are process-wide, so the tests that flush run one at a time
+    /// and no test's flush takes a stall meant for another's.
+    fn stall_flushes(flushes: u64, ms: u64) -> ChaosGuard {
+        ChaosPlan::new(0)
+            .with(Fault::times(
+                sites::SERVE_BATCH_STALL,
+                FaultKind::StallMs(ms),
+                flushes,
+            ))
+            .install()
+    }
+
+    /// Runs `leader` on a thread of its own and waits until the flush its
+    /// `PREDICT` started is stalled, so the rows sent next park behind it.
+    fn lead_stalled_flush<T: Send + 'static>(
+        leader: impl FnOnce() -> T + Send + 'static,
+    ) -> JoinHandle<T> {
+        let before = poe_chaos::hits(sites::SERVE_BATCH_STALL);
+        let handle = std::thread::spawn(leader);
+        wait_until("the leading flush to stall", || {
+            poe_chaos::hits(sites::SERVE_BATCH_STALL) > before
+        });
+        handle
+    }
+
+    /// Sends one request on a connection of its own and returns the answer.
+    fn ask_once(addr: SocketAddr, req: &str) -> String {
+        let (mut w, mut r) = client(addr);
+        ask(&mut w, &mut r, req)
+    }
+
+    /// [`ask_once`] on a thread of its own.
+    fn send(addr: SocketAddr, req: String) -> JoinHandle<String> {
+        std::thread::spawn(move || ask_once(addr, &req))
+    }
+
+    /// The ids in a `batch.flush` / `batch.abort` event's `ids=` field.
+    fn event_ids(e: &poe_obs::FlightEvent) -> Vec<u64> {
+        e.detail
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix("ids="))
+            .unwrap()
+            .split(',')
+            .map(|s| s.parse().unwrap())
+            .collect()
     }
 
     fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -1628,6 +1632,7 @@ mod tests {
 
     #[test]
     fn tcp_round_trip() {
+        let _serial = stall_flushes(0, 0);
         let svc = toy_service();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1844,23 +1849,25 @@ mod tests {
     /// parked requests' `request.start` events.
     #[test]
     fn batch_flush_events_name_their_parked_request_ids() {
-        let (server, svc, addr) = start(ServeConfig {
-            workers: 4,
-            max_batch: 2,
-            batch_delay: Duration::from_secs(10),
-            ..ServeConfig::default()
-        });
+        let _stall = stall_flushes(1, STALL_MS);
+        let (server, svc, addr) = start_on(
+            toy_service_with_own_recorder(),
+            ServeConfig {
+                workers: 4,
+                max_batch: 2,
+                ..ServeConfig::default()
+            },
+        );
         let before = svc.obs().flight.recorded();
-        let mut handles = Vec::new();
-        for i in 0..2 {
-            handles.push(std::thread::spawn(move || {
-                let (mut w, mut r) = client(addr);
-                ask(&mut w, &mut r, &format!("PREDICT 1 : {i} 2 3 4"))
-            }));
-        }
+        // Two rows park behind a stalled flush and fill the queue.
+        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 1 : 9 2 3 4"));
+        let handles: Vec<_> = (0..2)
+            .map(|i| send(addr, format!("PREDICT 1 : {i} 2 3 4")))
+            .collect();
         for h in handles {
             assert!(h.join().unwrap().starts_with("OK class="));
         }
+        assert!(leader.join().unwrap().starts_with("OK class="));
         let events: Vec<_> = svc
             .obs()
             .flight
@@ -1874,14 +1881,7 @@ mod tests {
             .expect("full-queue batch.flush event");
         assert!(flush.detail.contains("size=2"), "{flush:?}");
         assert!(flush.detail.contains("tasks=1"), "{flush:?}");
-        let ids: Vec<u64> = flush
-            .detail
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix("ids="))
-            .unwrap()
-            .split(',')
-            .map(|s| s.parse().unwrap())
-            .collect();
+        let ids = event_ids(flush);
         assert_eq!(ids.len(), 2, "{flush:?}");
         for id in ids {
             assert!(
@@ -2137,29 +2137,26 @@ mod tests {
     }
 
     /// `HEALTH` sees rows parked in the batch queues while they wait for
-    /// the delay timer.
+    /// their task set's running flush.
     #[test]
     fn health_reports_parked_batch_depth() {
+        let _stall = stall_flushes(1, STALL_MS);
         let (server, svc, addr) = start(ServeConfig {
             workers: 4,
             max_batch: 8,
-            batch_delay: Duration::from_secs(30), // timer never fires
             ..ServeConfig::default()
         });
         let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
-        let mut handles = Vec::new();
-        for i in 0..2 {
-            handles.push(std::thread::spawn(move || {
-                let (mut w, mut r) = client(addr);
-                ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"))
-            }));
-        }
+        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 0 : 9 1 2 3"));
+        let handles: Vec<_> = (0..2)
+            .map(|i| send(addr, format!("PREDICT 0 : {i} 1 2 3")))
+            .collect();
         wait_until("2 requests parked", || depth.get() == 2.0);
         let (mut w, mut r) = client(addr);
         let h = ask(&mut w, &mut r, "HEALTH");
         assert!(h.contains(" batch_queues=1 batch_depth=2 "), "{h}");
         server.handle().shutdown();
-        for h in handles {
+        for h in handles.into_iter().chain([leader]) {
             assert!(h.join().unwrap().starts_with("OK class="));
         }
         server.join().unwrap();
@@ -2289,35 +2286,31 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// The inline rule: while a parked `PREDICT` holds the only worker, a
-    /// `QUERY` for a cached task set is still answered (on the loop
-    /// thread), and one for an uncached set waits for the worker.
+    /// The inline rule: while a stalled `PREDICT` flush holds the only
+    /// worker, a `QUERY` for a cached task set is still answered (on the
+    /// loop thread), and one for an uncached set waits for the worker.
     #[test]
     fn cached_query_is_answered_while_the_only_worker_is_busy() {
+        let _stall = stall_flushes(1, STALL_MS);
         let (server, svc, addr) = start(ServeConfig {
             workers: 1,
             max_batch: 8,
-            batch_delay: Duration::from_millis(400),
             ..ServeConfig::default()
         });
         let reg = &svc.obs().registry;
-        let timeouts = reg.counter("serve.batch.flush.timeout");
+        // The stall comes before the flush counts itself.
+        let flushed = reg.counter("serve.batch.flush.ready");
         let (mut w, mut r) = client(addr);
         assert!(ask(&mut w, &mut r, "QUERY 0,1").contains(" cached=0 "));
-        // Park a PREDICT: it holds the sole worker until the timer flush.
-        let parked = std::thread::spawn(move || {
-            let (mut w, mut r) = client(addr);
-            ask(&mut w, &mut r, "PREDICT 2 : 1 2 3 4")
-        });
-        let depth = reg.gauge("serve.batch.queue_depth");
-        wait_until("the PREDICT to park", || depth.get() == 1.0);
+        // Its stalled flush holds the sole worker.
+        let stalled = lead_stalled_flush(move || ask_once(addr, "PREDICT 2 : 1 2 3 4"));
         let hit = ask(&mut w, &mut r, "QUERY 1,0");
         assert!(hit.contains(" cached=1 "), "{hit}");
-        assert_eq!(timeouts.get(), 0, "the cached QUERY waited for the worker");
+        assert_eq!(flushed.get(), 0, "the cached QUERY waited for the worker");
         let miss = ask(&mut w, &mut r, "QUERY 1");
         assert!(miss.contains(" cached=0 "), "{miss}");
-        assert_eq!(timeouts.get(), 1, "the uncached QUERY skipped the queue");
-        assert!(parked.join().unwrap().starts_with("OK class="));
+        assert_eq!(flushed.get(), 1, "the uncached QUERY skipped the queue");
+        assert!(stalled.join().unwrap().starts_with("OK class="));
         server.handle().shutdown();
         server.join().unwrap();
     }
@@ -2336,74 +2329,198 @@ mod tests {
         )
     }
 
-    /// Concurrent PREDICTs for permutations of one task set coalesce into
-    /// a single full-queue flush, and every demultiplexed per-row answer
-    /// matches the unbatched path bit for bit.
-    #[test]
-    fn batched_predictions_match_the_direct_path() {
-        let (server, svc, addr) = start(ServeConfig {
-            workers: 4,
-            max_batch: 4,
-            batch_delay: Duration::from_secs(10), // only a full flush counts
-            ..ServeConfig::default()
-        });
-        let requests: Vec<String> = (0..4)
-            .map(|i| {
-                let tasks = if i % 2 == 0 { "0,2" } else { "2,0" };
-                let f = i as f32;
-                format!("PREDICT {tasks} : {} {} {} {}", f, 0.5 - f, -f, 0.25 * f)
-            })
-            .collect();
-        let mut handles = Vec::new();
-        for req in &requests {
-            let req = req.clone();
-            handles.push(std::thread::spawn(move || {
-                let (mut w, mut r) = client(addr);
-                ask(&mut w, &mut r, &req)
-            }));
-        }
-        let answers: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Reference: the library `respond` path (no server, no batching)
-        // against the same deterministic service.
-        for (req, got) in requests.iter().zip(&answers) {
-            let want = respond(req, &svc, 4);
+    /// Asserts that each wire answer equals the unbatched library path's
+    /// answer for its own request, against the same deterministic service.
+    fn assert_matches_direct_path(svc: &QueryService, requests: &[String], answers: &[String]) {
+        for (req, got) in requests.iter().zip(answers) {
+            let want = respond(req, svc, 4);
             assert!(got.starts_with("OK class="), "{got}");
             let (gc, gt, gp) = parse_prediction(got);
             let (wc, wt, wp) = parse_prediction(&want);
             assert_eq!((gc, gt), (wc, wt), "req {req}: {got} vs {want}");
             assert!((gp - wp).abs() <= 1e-4, "req {req}: {got} vs {want}");
         }
+    }
+
+    /// Rows for permutations of one task set, parked behind a running
+    /// flush, coalesce into a single full-queue flush, and every
+    /// demultiplexed per-row answer matches the unbatched path.
+    #[test]
+    fn batched_predictions_match_the_direct_path() {
+        let _stall = stall_flushes(1, STALL_MS);
+        let (server, svc, addr) = start(ServeConfig {
+            workers: 6,
+            max_batch: 4,
+            ..ServeConfig::default()
+        });
+        let requests: Vec<String> = (0..5)
+            .map(|i| {
+                let tasks = if i % 2 == 0 { "0,2" } else { "2,0" };
+                let f = i as f32;
+                format!("PREDICT {tasks} : {} {} {} {}", f, 0.5 - f, -f, 0.25 * f)
+            })
+            .collect();
+        let lead = requests[0].clone();
+        let leader = lead_stalled_flush(move || ask_once(addr, &lead));
+        let handles: Vec<_> = requests[1..]
+            .iter()
+            .map(|req| send(addr, req.clone()))
+            .collect();
+        let answers: Vec<String> = std::iter::once(leader)
+            .chain(handles)
+            .map(|h| h.join().unwrap())
+            .collect();
         let reg = &svc.obs().registry;
+        // The leader's own flush, then the four parked rows as one.
         assert_eq!(reg.counter("serve.batch.flush.full").get(), 1);
-        assert_eq!(reg.counter("serve.batch.flush.timeout").get(), 0);
+        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 1);
         let sizes = reg.histogram("serve.batch.size").snapshot();
-        assert_eq!(sizes.count(), 1, "exactly one flush");
+        assert_eq!(sizes.count(), 2, "exactly two flushes");
+        assert_eq!(sizes.sum_n(), 5);
         // Power-of-two buckets read back as the next bucket's upper bound.
-        assert_eq!(sizes.quantile_n(0.5), Some(8), "batch of 4");
-        // The service-level batch accounting fired exactly once too.
-        assert_eq!(reg.counter("service.batch.calls").get(), 1);
-        assert_eq!(reg.counter("service.batch.rows").get(), 4);
+        assert_eq!(sizes.quantile_n(1.0), Some(8), "batch of 4");
+        // The service-level batch accounting fired once per flush too.
+        assert_eq!(reg.counter("service.batch.calls").get(), 2);
+        assert_eq!(reg.counter("service.batch.rows").get(), 5);
+        // Reference: the library `respond` path (no server, no batching).
+        assert_matches_direct_path(&svc, &requests, &answers);
         server.handle().shutdown();
         server.join().unwrap();
     }
 
-    /// A lone PREDICT is not stuck behind `--max-batch`: the delay timer
-    /// flushes it as a batch of one.
+    /// Rows that arrive while their task set's flush runs park, and when
+    /// that flush ends they form exactly one next batch, each row getting
+    /// its own row's answer.
     #[test]
-    fn lone_predict_is_flushed_by_the_delay_timer() {
+    fn rows_parked_behind_a_flush_form_the_next_batch() {
+        let _stall = stall_flushes(1, STALL_MS);
+        let (server, svc, addr) = start_on(
+            toy_service_with_own_recorder(),
+            ServeConfig {
+                workers: 5,
+                max_batch: 8,
+                ..ServeConfig::default()
+            },
+        );
+        let before = svc.obs().flight.recorded();
+        let requests: Vec<String> = (0..4)
+            .map(|i| {
+                let tasks = if i % 2 == 0 { "0,2" } else { "2,0" };
+                let f = i as f32;
+                format!("PREDICT {tasks} : {} {} {} {}", -f, 1.0 - f, 0.5 * f, f)
+            })
+            .collect();
+        let lead = requests[0].clone();
+        let leader = lead_stalled_flush(move || ask_once(addr, &lead));
+        let handles: Vec<_> = requests[1..]
+            .iter()
+            .map(|req| send(addr, req.clone()))
+            .collect();
+        let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
+        wait_until("3 rows parked", || depth.get() == 3.0);
+        let answers: Vec<String> = std::iter::once(leader)
+            .chain(handles)
+            .map(|h| h.join().unwrap())
+            .collect();
+        let reg = &svc.obs().registry;
+        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
+        assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
+        assert_eq!(reg.counter("service.batch.calls").get(), 2);
+        assert_eq!(reg.counter("service.batch.rows").get(), 4);
+        assert_eq!(depth.get(), 0.0);
+        let flushes: Vec<_> = svc
+            .obs()
+            .flight
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.seq > before && e.kind == "batch.flush")
+            .collect();
+        assert_eq!(flushes.len(), 2, "{flushes:?}");
+        assert!(flushes[0].detail.contains("size=1"), "{flushes:?}");
+        assert!(
+            flushes[1]
+                .detail
+                .starts_with("cause=ready size=3 tasks=0,2 "),
+            "{flushes:?}"
+        );
+        // The next batch is exactly the three parked rows.
+        let mut parked = event_ids(&flushes[1]);
+        parked.sort_unstable();
+        let mut predicts: Vec<u64> = svc
+            .obs()
+            .flight
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.seq > before && e.kind == "request.start" && e.detail == "verb=PREDICT")
+            .map(|e| e.request_id)
+            .filter(|id| !event_ids(&flushes[0]).contains(id))
+            .collect();
+        predicts.sort_unstable();
+        assert_eq!(parked, predicts);
+        assert_matches_direct_path(&svc, &requests, &answers);
+        server.handle().shutdown();
+        server.join().unwrap();
+    }
+
+    /// The worker that led a flush returns its own answer as soon as that
+    /// flush ends: the next batch runs on a parked row's worker, so the
+    /// leader never waits behind a later flush, and no connection starves
+    /// under sustained load on one task set.
+    #[test]
+    fn flush_leader_answers_before_the_next_flush_ends() {
+        // The first flush stalls so rows park behind it; the second one
+        // stalls so it is still running when the leader answers.
+        let _stall = stall_flushes(2, STALL_MS);
+        let (server, svc, addr) = start(ServeConfig {
+            workers: 4,
+            max_batch: 8,
+            ..ServeConfig::default()
+        });
+        let reg = &svc.obs().registry;
+        let calls = reg.counter("service.batch.calls");
+        let depth = reg.gauge("serve.batch.queue_depth");
+        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 1 : 1 2 3 4"));
+        let parked: Vec<_> = (0..2)
+            .map(|i| send(addr, format!("PREDICT 1 : {i} 0 0 1")))
+            .collect();
+        wait_until("2 rows parked", || depth.get() == 2.0);
+        assert!(leader.join().unwrap().starts_with("OK class="));
+        assert_eq!(calls.get(), 1, "the leader waited for the next flush");
+        assert!(
+            parked.iter().all(|h| !h.is_finished()),
+            "the next flush ended before the leader answered"
+        );
+        for h in parked {
+            assert!(h.join().unwrap().starts_with("OK class="));
+        }
+        assert_eq!(calls.get(), 2);
+        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
+        assert_eq!(reg.histogram("serve.batch.size").snapshot().sum_n(), 3);
+        server.handle().shutdown();
+        server.join().unwrap();
+    }
+
+    /// A lone PREDICT is flushed at once, as a batch of itself: it never
+    /// parks, whatever `--max-batch` is.
+    #[test]
+    fn lone_predict_runs_without_parking() {
+        let _serial = stall_flushes(0, 0);
         let (server, svc, addr) = start(ServeConfig {
             max_batch: 64,
-            batch_delay: Duration::from_millis(5),
             ..ServeConfig::default()
         });
         let (mut w, mut r) = client(addr);
         let got = ask(&mut w, &mut r, "PREDICT 1 : 1 2 3 4");
         assert!(got.starts_with("OK class="), "{got}");
         let reg = &svc.obs().registry;
-        assert_eq!(reg.counter("serve.batch.flush.timeout").get(), 1);
+        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 1);
         assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
+        let sizes = reg.histogram("serve.batch.size").snapshot();
+        // One flush, which the row led: a parked row would have needed a
+        // second flush to answer it.
+        assert_eq!(sizes.count(), 1);
         assert_eq!(
-            reg.histogram("serve.batch.size").snapshot().quantile_n(0.5),
+            sizes.quantile_n(0.5),
             Some(2),
             "batch of 1 (bucket upper bound 2)"
         );
@@ -2417,22 +2534,23 @@ mod tests {
     /// stays usable.
     #[test]
     fn batched_query_errors_reach_every_parked_request() {
+        let _stall = stall_flushes(1, STALL_MS);
         let (server, _svc, addr) = start(ServeConfig {
             max_batch: 2,
-            batch_delay: Duration::from_secs(10),
             ..ServeConfig::default()
         });
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            handles.push(std::thread::spawn(move || {
-                let (mut w, mut r) = client(addr);
-                let e = ask(&mut w, &mut r, "PREDICT 9 : 1 2 3 4");
-                // Same connection still answers afterwards.
-                let h = ask(&mut w, &mut r, "HEALTH");
-                (e, h)
-            }));
-        }
-        for h in handles {
+        let predict_then_health = move || {
+            let (mut w, mut r) = client(addr);
+            let e = ask(&mut w, &mut r, "PREDICT 9 : 1 2 3 4");
+            // Same connection still answers afterwards.
+            let h = ask(&mut w, &mut r, "HEALTH");
+            (e, h)
+        };
+        let leader = lead_stalled_flush(predict_then_health);
+        let handles: Vec<_> = (0..2)
+            .map(|_| std::thread::spawn(predict_then_health))
+            .collect();
+        for h in handles.into_iter().chain([leader]) {
             let (e, health) = h.join().unwrap();
             assert_eq!(e, "ERR unknown primitive task 9");
             assert!(health.starts_with("OK live=1"), "{health}");
@@ -2445,52 +2563,67 @@ mod tests {
     /// answered exactly once before the connections close.
     #[test]
     fn shutdown_drains_parked_batches() {
+        let _stall = stall_flushes(1, STALL_MS);
         let (server, svc, addr) = start(ServeConfig {
-            workers: 4,
-            max_batch: 8,                         // stays half-full
-            batch_delay: Duration::from_secs(30), // timer never fires
+            workers: 5,   // the leader, three parked rows and SHUTDOWN
+            max_batch: 8, // stays half-full
             ..ServeConfig::default()
         });
         let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
-        let mut handles = Vec::new();
-        for i in 0..3 {
-            handles.push(std::thread::spawn(move || {
-                let (mut w, mut r) = client(addr);
-                ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"))
-            }));
-        }
+        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 0 : 9 1 2 3"));
+        let handles: Vec<_> = (0..3)
+            .map(|i| send(addr, format!("PREDICT 0 : {i} 1 2 3")))
+            .collect();
         wait_until("3 requests parked", || depth.get() == 3.0);
         let (mut w, mut r) = client(addr);
         assert_eq!(ask(&mut w, &mut r, "SHUTDOWN"), "OK shutting down");
-        for h in handles {
+        for h in handles.into_iter().chain([leader]) {
             let line = h.join().unwrap();
             assert!(line.starts_with("OK class="), "parked request lost: {line}");
         }
         server.join().unwrap();
         let reg = &svc.obs().registry;
         assert_eq!(reg.counter("serve.batch.flush.drain").get(), 1);
+        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 1);
+        let sizes = reg.histogram("serve.batch.size").snapshot();
+        assert_eq!(sizes.count(), 2, "the leader's flush and the drain");
+        assert_eq!(sizes.sum_n(), 4);
         assert_eq!(
-            reg.histogram("serve.batch.size").snapshot().quantile_n(0.5),
+            sizes.quantile_n(1.0),
             Some(4),
             "one batch of 3 (bucket upper bound 4)"
         );
         assert_eq!(depth.get(), 0.0);
     }
 
-    /// With `max_batch ≤ 1` the scheduler is never built and PREDICT runs
-    /// unbatched — the opt-out knob for latency-critical single clients.
+    /// With `max_batch: 1` every row is its own flush: rows parked behind
+    /// a running flush each fill their queue and run alone, and every
+    /// answer matches the unbatched path.
     #[test]
-    fn batching_can_be_disabled() {
+    fn max_batch_one_runs_every_row_as_its_own_flush() {
+        let _stall = stall_flushes(1, STALL_MS);
         let (server, svc, addr) = start(ServeConfig {
             max_batch: 1,
             ..ServeConfig::default()
         });
-        let (mut w, mut r) = client(addr);
-        let got = ask(&mut w, &mut r, "PREDICT 1 : 1 2 3 4");
-        assert!(got.starts_with("OK class="), "{got}");
+        let requests: Vec<String> = (0..3).map(|i| format!("PREDICT 1 : {i} 2 3 4")).collect();
+        let lead = requests[0].clone();
+        let leader = lead_stalled_flush(move || ask_once(addr, &lead));
+        let handles: Vec<_> = requests[1..]
+            .iter()
+            .map(|req| send(addr, req.clone()))
+            .collect();
+        let answers: Vec<String> = std::iter::once(leader)
+            .chain(handles)
+            .map(|h| h.join().unwrap())
+            .collect();
         let reg = &svc.obs().registry;
-        assert_eq!(reg.histogram("serve.batch.size").snapshot().count(), 0);
-        assert_eq!(reg.counter("service.batch.calls").get(), 0);
+        let sizes = reg.histogram("serve.batch.size").snapshot();
+        assert_eq!(sizes.count(), 3);
+        assert_eq!(sizes.sum_n(), 3, "one row per flush");
+        assert_eq!(reg.counter("service.batch.calls").get(), 3);
+        assert_eq!(reg.counter("service.batch.rows").get(), 3);
+        assert_matches_direct_path(&svc, &requests, &answers);
         server.handle().shutdown();
         server.join().unwrap();
     }

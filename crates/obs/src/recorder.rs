@@ -210,7 +210,8 @@ impl FlightRecorder {
     }
 
     /// Records an event with an explicit request id (for threads that run
-    /// outside the originating request's context, e.g. a batch timer).
+    /// outside the originating request's context, e.g. a batch flush that
+    /// answers other requests' rows).
     pub fn record_for(&self, request_id: u64, kind: &str, detail: impl Into<String>) {
         if !self.is_enabled() {
             return;

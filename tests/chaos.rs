@@ -249,26 +249,42 @@ fn shutdown_drains_half_full_batch_queue_under_chaos() {
             prob: 0.5,
             max_hits: Some(8),
         })
+        // The first flush stalls, and the rows sent meanwhile park behind
+        // it until the drain.
+        .with(Fault::times(
+            sites::SERVE_BATCH_STALL,
+            FaultKind::StallMs(2000),
+            1,
+        ))
         .install();
     let (server, svc, addr) = start(ServeConfig {
-        workers: 4,
-        max_batch: 8,                         // queue stays half-full
-        batch_delay: Duration::from_secs(30), // the timer never fires
+        workers: 5,   // the stalled flush, three parked rows and SHUTDOWN
+        max_batch: 8, // queue stays half-full
         ..ServeConfig::default()
     });
     let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
-    let mut handles = Vec::new();
+    let predict = move |i: usize| {
+        let (mut w, mut r) = client(addr);
+        let answer = ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"));
+        // Exactly one response per request: anything after it is the
+        // drain refusal on the kept-alive connection (then EOF), never
+        // a duplicated prediction.
+        let mut extra = String::new();
+        let _ = r.read_line(&mut extra).unwrap_or(0);
+        (answer, extra.trim_end().to_string())
+    };
+    let stalls = poe_chaos::hits(sites::SERVE_BATCH_STALL);
+    let mut handles = vec![std::thread::spawn(move || predict(9))];
+    let begin = Instant::now();
+    while poe_chaos::hits(sites::SERVE_BATCH_STALL) == stalls {
+        assert!(
+            begin.elapsed() < Duration::from_secs(10),
+            "the leading flush never stalled"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
     for i in 0..3 {
-        handles.push(std::thread::spawn(move || {
-            let (mut w, mut r) = client(addr);
-            let answer = ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"));
-            // Exactly one response per request: anything after it is the
-            // drain refusal on the kept-alive connection (then EOF), never
-            // a duplicated prediction.
-            let mut extra = String::new();
-            let _ = r.read_line(&mut extra).unwrap_or(0);
-            (answer, extra.trim_end().to_string())
-        }));
+        handles.push(std::thread::spawn(move || predict(i)));
     }
     let begin = Instant::now();
     while depth.get() < 3.0 {

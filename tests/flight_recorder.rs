@@ -150,7 +150,6 @@ fn twelve_client_wire_traffic_dumps_cleanly() {
     let (server, _svc, addr) = start(ServeConfig {
         workers: 12,
         max_batch: 4,
-        batch_delay: Duration::from_millis(10),
         recorder_dir: Some(dir.clone()),
         ..ServeConfig::default()
     });
@@ -246,7 +245,15 @@ fn twelve_client_wire_traffic_dumps_cleanly() {
 /// with request ids that match the victims' own `request.start` events.
 #[test]
 fn kill_during_serve_leaves_a_dump_that_explains_the_crash() {
+    // The first flush stalls before it reaches the panic site; the
+    // panic then hits the next flush, a full batch of the two rows that
+    // parked behind the stalled one.
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
+        .with(Fault::times(
+            sites::SERVE_BATCH_STALL,
+            FaultKind::StallMs(1000),
+            1,
+        ))
         .with(Fault::times(sites::SERVE_BATCH_PANIC, FaultKind::Panic, 1))
         .install();
     let dir = std::env::temp_dir().join("poe_flight_postmortem_test");
@@ -256,25 +263,36 @@ fn kill_during_serve_leaves_a_dump_that_explains_the_crash() {
     let (server, svc, addr) = start(ServeConfig {
         workers: 4,
         max_batch: 2,
-        batch_delay: Duration::from_secs(30), // only a full batch flushes
         recorder_dir: Some(dir.clone()),
         ..ServeConfig::default()
     });
+    let predict = move |i: usize| {
+        let (mut w, mut r) = client(addr);
+        ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"))
+    };
 
+    let stalls = poe_chaos::hits(sites::SERVE_BATCH_STALL);
+    let leader = std::thread::spawn(move || predict(9));
+    let begin = std::time::Instant::now();
+    while poe_chaos::hits(sites::SERVE_BATCH_STALL) == stalls {
+        assert!(
+            begin.elapsed() < Duration::from_secs(10),
+            "the leading flush never stalled"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
     // Two PREDICTs on the same task set fill the batch; the flush panics
     // under the injected fault and both are answered `ERR batch aborted`.
     let handles: Vec<_> = (0..2)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let (mut w, mut r) = client(addr);
-                ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"))
-            })
-        })
+        .map(|i| std::thread::spawn(move || predict(i)))
         .collect();
     let answers: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     for a in &answers {
         assert_eq!(a, "ERR batch aborted", "{answers:?}");
     }
+    // The stalled flush got past the panic site after the fault was spent.
+    let lead = leader.join().unwrap();
+    assert!(lead.starts_with("OK class="), "{lead}");
     // One aborted batch (of two rows).
     assert_eq!(svc.obs().registry.counter("serve.batch.aborted").get(), 1);
 
