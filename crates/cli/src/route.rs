@@ -12,16 +12,20 @@
 //!
 //! Every request line is scattered from one of [`RouteConfig::workers`]
 //! dispatch threads, since each one waits on shard round trips.
-//! `SHUTDOWN` drains in-flight scatters before the backend connections
-//! are closed — a client mid-`PREDICT` gets its answer, then the sockets
-//! go away.
+//! Shutdown is the event loop's: `SHUTDOWN`, [`LoopHandle::shutdown`]
+//! (through [`RouteServer::handle`]), the spent
+//! [`RouteConfig::max_requests`] budget or a dead listener starts its
+//! drain (flight event `net.drain`). [`RouteServer::join`] waits for the
+//! loop, whose drain lets in-flight scatters finish, and for the
+//! dispatch workers, and only then closes the backend connections — a
+//! client mid-`PREDICT` gets its answer, then the sockets go away.
 
 use crate::wire::{self, MetricsFormat, Request, WireError};
-use poe_net::{After, EventLoop, LoopConfig, LoopHandle, NetEvent, NetService, Refusal};
+use poe_net::{After, EventLoop, LoopConfig, LoopHandle, LoopReport, NetService, Refusal};
 use poe_router::{join, GatherError, Router, RouterConfig, ShardMap};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,7 +35,8 @@ use std::time::Duration;
 pub struct RouteConfig {
     /// Engine knobs: deadlines, retries, breakers, hedging.
     pub router: RouterConfig,
-    /// Shut down after this many requests (`u64::MAX` = run forever).
+    /// Drain and stop once this many responses are written in full
+    /// (`u64::MAX` = run forever); the event loop keeps the count.
     pub max_requests: u64,
     /// Request-line byte cap (same hardening as `poe serve`).
     pub max_line_bytes: usize,
@@ -154,39 +159,15 @@ impl RouteConfigBuilder {
     }
 }
 
-/// What `join` reports after a clean exit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteReport {
-    /// Requests answered over the server's lifetime.
-    pub handled: u64,
-    /// Whether the drain deadline was hit (stragglers force-closed).
-    pub drain_timed_out: bool,
-}
-
 /// The front tier's shared state; it is also the event loop's line
 /// handler ([`NetService`]).
 struct RouteShared {
     router: Router,
     cfg: RouteConfig,
     addr: SocketAddr,
-    draining: AtomicBool,
-    handled: AtomicU64,
     /// Requests currently being scattered (reported by `HEALTH`).
     inflight: AtomicUsize,
     net: LoopHandle,
-}
-
-impl RouteShared {
-    fn trigger_shutdown(&self) {
-        if self.draining.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.router
-            .obs()
-            .flight
-            .record("router.drain.begin", String::new());
-        self.net.shutdown();
-    }
 }
 
 impl NetService for RouteShared {
@@ -202,29 +183,11 @@ impl NetService for RouteShared {
             format!("outcome={}", reply.split(' ').next().unwrap_or("?")),
         );
         self.inflight.fetch_sub(1, Ordering::AcqRel);
-        if after == After::Shutdown {
-            self.trigger_shutdown();
-        }
         (reply, after)
     }
 
     fn refusal_line(&self, refusal: Refusal) -> String {
         WireError::refusal(refusal, self.cfg.max_line_bytes, self.cfg.retry_after_ms).line()
-    }
-
-    fn on_event(&self, event: NetEvent) {
-        if event == NetEvent::AcceptFailed {
-            // The listener died: drain, and let `join` surface the loop
-            // report's accept error.
-            self.trigger_shutdown();
-        }
-    }
-
-    fn on_response_written(&self) {
-        let handled = self.handled.fetch_add(1, Ordering::AcqRel) + 1;
-        if handled >= self.cfg.max_requests {
-            self.trigger_shutdown();
-        }
     }
 }
 
@@ -233,30 +196,6 @@ impl NetService for RouteShared {
 pub struct RouteServer {
     shared: Arc<RouteShared>,
     event_loop: EventLoop,
-}
-
-/// A cloneable remote control for a [`RouteServer`].
-#[derive(Clone)]
-pub struct RouteHandle {
-    shared: Arc<RouteShared>,
-}
-
-impl RouteHandle {
-    /// Requests a graceful shutdown (idempotent, returns immediately;
-    /// the drain happens in [`RouteServer::join`]).
-    pub fn shutdown(&self) {
-        self.shared.trigger_shutdown();
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
-    }
-
-    /// Requests answered so far.
-    pub fn handled(&self) -> u64 {
-        self.shared.handled.load(Ordering::Acquire)
-    }
 }
 
 impl RouteServer {
@@ -280,6 +219,7 @@ impl RouteServer {
             idle_timeout: cfg.idle_timeout,
             max_conns: cfg.max_conns.max(1),
             max_conn_requests: u64::MAX,
+            max_requests: cfg.max_requests,
             drain_deadline: cfg.drain_deadline,
             workers: cfg.workers.max(1),
             metrics: Some(poe_net::NetMetrics::register(&obs.registry)),
@@ -289,19 +229,16 @@ impl RouteServer {
             router,
             cfg,
             addr,
-            draining: AtomicBool::new(false),
-            handled: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             net,
         })?;
         Ok(RouteServer { shared, event_loop })
     }
 
-    /// A cloneable control handle (usable from other threads).
-    pub fn handle(&self) -> RouteHandle {
-        RouteHandle {
-            shared: Arc::clone(&self.shared),
-        }
+    /// The event loop's cloneable control handle (usable from other
+    /// threads): shutdown, drain state, responses handled.
+    pub fn handle(&self) -> LoopHandle {
+        self.event_loop.handle()
     }
 
     /// The bound address.
@@ -318,29 +255,23 @@ impl RouteServer {
     /// shutdown is requested (each starts the drain), then drains:
     /// in-flight scatters finish (within the drain deadline) and the
     /// client connections close, the dispatch pool stops, and only then
-    /// do the backend connections close.
-    pub fn join(self) -> std::io::Result<RouteReport> {
-        while !self.shared.draining.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    /// do the backend connections close. Fails with the accept error when
+    /// a dead listener ended the server.
+    pub fn join(self) -> std::io::Result<LoopReport> {
         let report = self.event_loop.join();
         self.shared.router.close_backends();
-        let handled = self.shared.handled.load(Ordering::Acquire);
         let flight = &self.shared.router.obs().flight;
-        flight.record("router.shutdown", format!("handled={handled}"));
+        flight.record(
+            "router.shutdown",
+            format!("handled={}", self.shared.net.handled()),
+        );
         if let Some(dir) = &self.shared.cfg.recorder_dir {
             match flight.dump_to_dir(dir) {
                 Ok(path) => eprintln!("flight recorder dumped to {}", path.display()),
                 Err(e) => eprintln!("flight recorder dump failed: {e}"),
             }
         }
-        if let Some(msg) = report.accept_error {
-            return Err(std::io::Error::other(msg));
-        }
-        Ok(RouteReport {
-            handled,
-            drain_timed_out: report.drain_timed_out,
-        })
+        report
     }
 }
 
@@ -483,7 +414,7 @@ fn gather_err_line(e: GatherError) -> String {
 /// `role=router` and the aggregate shard view.
 fn health_line(shared: &RouteShared) -> String {
     let (up, total) = shared.router.shards_up();
-    let draining = shared.draining.load(Ordering::Acquire);
+    let draining = shared.net.is_draining();
     let ready = up == total && total > 0 && !draining;
     format!(
         "OK live=1 ready={} role=router shards={total} shards_up={up}/{total} draining={} inflight={}",
@@ -557,9 +488,37 @@ mod tests {
         );
         assert!(line.contains("shards_up=0/2"), "{line}");
         assert!(line.contains("draining=0"), "{line}");
-        s.trigger_shutdown();
+        server.handle().shutdown();
         assert!(health_line(s).contains("draining=1"));
         server.join().unwrap();
+    }
+
+    #[test]
+    fn spent_request_budget_drains_and_join_reports_it() {
+        use std::io::{BufRead, BufReader, Write};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let cfg = RouteConfig {
+            max_requests: 2,
+            ..RouteConfig::default()
+        };
+        let server =
+            RouteServer::start(listener, ShardMap::parse("0-9=127.0.0.1:9").unwrap(), cfg).unwrap();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // Two lines the router answers without a backend, then one past
+        // the budget.
+        stream.write_all(b"FROB 1\nQUERY 99\nQUIT\n").unwrap();
+        let lines: Vec<String> = BufReader::new(stream).lines().map(Result::unwrap).collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(lines[0], "ERR unknown verb `FROB`");
+        assert_eq!(lines[1], "ERR no shard for task 99");
+        assert!(lines[2].starts_with("ERR shutting down"), "{lines:?}");
+        let report = server.join().unwrap();
+        assert_eq!(report.handled, 2);
+        assert!(!report.drain_timed_out);
     }
 
     #[test]

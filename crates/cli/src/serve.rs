@@ -28,9 +28,9 @@
 //! ([`poe_core::service::QueryService::predict_batch`]) and demultiplexes
 //! the per-row predictions back to the waiting connections, so concurrent
 //! clients asking for the same composite model amortize both the
-//! consolidation and the matmuls. `SHUTDOWN` flushes every parked queue
-//! before the connection drain begins, so no parked request is lost.
-//! Batching is invisible on the wire: same grammar, one response per
+//! consolidation and the matmuls. A parked row's connection is in flight
+//! like any other, so a drain answers it through the flush that hands it
+//! on: no parked request is lost. Batching is invisible on the wire: same grammar, one response per
 //! request line, responses on each connection in request order. Every
 //! `ERR` line is a typed [`crate::wire::WireError`].
 //!
@@ -54,11 +54,13 @@
 //!   write-error counters land in the service's [`poe_obs`] registry
 //!   (`serve.*`, visible via `METRICS`).
 //! * **Graceful lifecycle** — `HEALTH` reports liveness and readiness
-//!   (pool loaded, workers alive, shed rate under threshold); `SHUTDOWN`
-//!   (or [`ServerHandle::shutdown`]) stops accepting, refuses idle
-//!   connections, lets in-flight requests finish within
-//!   [`ServeConfig::drain_deadline`], force-closes stragglers past it,
-//!   and joins the loop and every worker before [`Server::join`] returns
+//!   (pool loaded, workers alive, shed rate under threshold). The event
+//!   loop owns shutdown: `SHUTDOWN`, [`LoopHandle::shutdown`] (through
+//!   [`Server::handle`]), the spent [`ServeConfig::max_requests`] budget
+//!   or a dead listener starts its drain, which stops accepting, refuses
+//!   idle connections, lets in-flight requests finish within
+//!   [`ServeConfig::drain_deadline`] and force-closes stragglers past it.
+//!   [`Server::join`] returns once the loop and every worker are joined
 //!   — no thread outlives the server.
 //! * **Crash survival** — a panic while answering a line (including a
 //!   [`poe_chaos`]-injected one) is contained: that connection is closed
@@ -76,8 +78,8 @@
 //! [`poe_obs::FlightRecorder`] black box: `request.start`/`request.end`
 //! (and `request.panic` when a handler dies mid-request), `batch.flush`
 //! with its cause, size, and the parked request ids, `batch.abort`, `shed`,
-//! `worker.panic`, and the server lifecycle (`server.start`,
-//! `server.drain`, `server.shutdown`). The ring is dumped to a timestamped
+//! `worker.panic`, and the server lifecycle (`server.start`, the loop's
+//! `net.drain`, `server.shutdown`). The ring is dumped to a timestamped
 //! JSONL file on `SHUTDOWN` (when [`ServeConfig::recorder_dir`] is set), on
 //! a `poe serve` panic, and on demand via the `DUMP` verb, so the last few
 //! thousand events before a crash are always reconstructable.
@@ -86,15 +88,16 @@ use crate::wire::{self, MetricsFormat, Request, WireError};
 use poe_core::pool::QueryError;
 use poe_core::service::QueryService;
 use poe_models::Prediction;
-use poe_net::{After, EventLoop, LoopConfig, LoopHandle, NetEvent, NetService, Refusal};
+use poe_net::{
+    After, EventLoop, LoopConfig, LoopHandle, LoopReport, NetEvent, NetService, Refusal,
+};
 use poe_tensor::Tensor;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default number of dispatch worker threads.
@@ -122,7 +125,8 @@ pub struct ServeConfig {
     /// loop does not answer inline. A `PREDICT` parked behind a running
     /// flush of its task set holds its worker until that flush ends.
     pub workers: usize,
-    /// Stop after this many requests (`u64::MAX` = run forever).
+    /// Drain and stop once this many responses are written in full
+    /// (`u64::MAX` = run forever); the event loop keeps the count.
     pub max_requests: u64,
     /// Refuse a connection with no complete request line within this
     /// window; `None` disables (a silent client then stays open until
@@ -315,16 +319,6 @@ impl ServeConfigBuilder {
     }
 }
 
-/// What [`Server::join`] reports after a clean exit.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeReport {
-    /// Requests answered successfully over the server's lifetime.
-    pub handled: u64,
-    /// Whether the drain deadline expired and stragglers were
-    /// force-closed (also counted in `serve.drain_timeouts`).
-    pub drain_timed_out: bool,
-}
-
 /// Serve-layer counters, registered in the service's metrics registry so
 /// `METRICS` exports them alongside everything else.
 struct ServeMetrics {
@@ -366,8 +360,6 @@ struct BatchMetrics {
     flush_ready: Arc<poe_obs::Counter>,
     /// `serve.batch.flush.full` — flushes triggered by a full queue.
     flush_full: Arc<poe_obs::Counter>,
-    /// `serve.batch.flush.drain` — flushes of parked rows at shutdown.
-    flush_drain: Arc<poe_obs::Counter>,
     /// `serve.batch.aborted` — batches lost to a panic inside the batched
     /// inference; their requests answer `ERR batch aborted`.
     aborted: Arc<poe_obs::Counter>,
@@ -381,7 +373,6 @@ impl BatchMetrics {
             queue_depth: r.gauge("serve.batch.queue_depth"),
             flush_ready: r.counter("serve.batch.flush.ready"),
             flush_full: r.counter("serve.batch.flush.full"),
-            flush_drain: r.counter("serve.batch.flush.drain"),
             aborted: r.counter("serve.batch.aborted"),
         }
     }
@@ -423,9 +414,8 @@ struct Parked {
 ///   own answer at once, so no row waits behind a later flush and no
 ///   connection starves under sustained load on a hot task set.
 ///
-/// Every parked row sits behind a running flush that hands it on, so no
-/// timer is needed. [`BatchScheduler::drain`] (shutdown) flushes what is
-/// parked at once; later arrivals take the normal path.
+/// Every parked row sits behind a running flush that hands it on, so
+/// neither a timer nor a shutdown flush is needed.
 struct BatchScheduler {
     service: Arc<QueryService>,
     input_dim: usize,
@@ -517,7 +507,7 @@ impl BatchScheduler {
 
     /// Runs one batched inference and demultiplexes per-row results to
     /// every parked connection. `cause` names what started the flush
-    /// (`ready` / `full` / `drain`) and drives both the per-cause flush
+    /// (`ready` / `full`) and drives both the per-cause flush
     /// counter and the `batch.flush` flight-recorder event. A panic inside
     /// the model (a bug, or an injected chaos fault) is contained here:
     /// the senders drop, every waiter answers `ERR batch aborted`, a
@@ -526,9 +516,8 @@ impl BatchScheduler {
     fn flush(&self, tasks: &[usize], rows: Vec<Parked>, cause: &'static str) {
         poe_chaos::stall(poe_chaos::sites::SERVE_BATCH_STALL);
         match cause {
-            "ready" => self.metrics.flush_ready.inc(),
             "full" => self.metrics.flush_full.inc(),
-            _ => self.metrics.flush_drain.inc(),
+            _ => self.metrics.flush_ready.inc(),
         }
         self.metrics.size.record_n(rows.len() as u64);
         let ids: Vec<u64> = rows.iter().map(|p| p.request_id).collect();
@@ -577,26 +566,6 @@ impl BatchScheduler {
         }
     }
 
-    /// Shutdown: flush every parked queue now instead of behind its
-    /// running flush, so parked requests are answered before the
-    /// connection drain begins. The running flushes still end as usual.
-    /// Idempotent.
-    fn drain(&self) {
-        let parked: Vec<(Vec<usize>, Vec<Parked>)> = {
-            let mut queues = self.lock_queues();
-            let parked = queues
-                .iter_mut()
-                .filter(|(_, rows)| !rows.is_empty())
-                .map(|(tasks, rows)| (tasks.clone(), std::mem::take(rows)))
-                .collect();
-            self.metrics.queue_depth.set(0.0);
-            parked
-        };
-        for (tasks, rows) in parked {
-            self.flush(&tasks, rows, "drain");
-        }
-    }
-
     /// Non-empty per-task-set queues and the rows parked across them —
     /// the `HEALTH` verb's `batch_queues`/`batch_depth` fields.
     fn queue_stats(&self) -> (usize, usize) {
@@ -617,42 +586,12 @@ struct ServerShared {
     service: Arc<QueryService>,
     input_dim: usize,
     addr: SocketAddr,
-    /// Responses fully written so far; `join` waits on `cvar`.
-    handled: Mutex<u64>,
-    cvar: Condvar,
-    draining: AtomicBool,
     metrics: ServeMetrics,
     batcher: BatchScheduler,
     net: LoopHandle,
 }
 
 impl ServerShared {
-    /// Locks the `handled` count, surviving poisoning (a chaos-injected
-    /// panic must not take the whole server down with it).
-    fn lock_handled(&self) -> MutexGuard<'_, u64> {
-        self.handled.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Starts the drain: flush every parked batch, then let the loop stop
-    /// accepting, refuse idle connections and finish in-flight ones.
-    /// Idempotent.
-    fn trigger_shutdown(&self) {
-        if self.draining.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.service
-            .obs()
-            .flight
-            .record_for(0, "server.drain", format!("addr={}", self.addr));
-        // Flush parked PREDICT batches first, so every already-accepted
-        // request is answered before the connection drain begins.
-        self.batcher.drain();
-        self.net.shutdown();
-        // Taking the lock orders this wakeup after `join`'s check.
-        drop(self.lock_handled());
-        self.cvar.notify_all();
-    }
-
     fn shed_rate(&self) -> f64 {
         let shed = self.metrics.shed.get();
         let accepted = self.metrics.accepted.get();
@@ -687,11 +626,7 @@ impl NetService for ServerShared {
 
     fn handle(&self, line: &str) -> (String, After) {
         poe_chaos::maybe_panic(poe_chaos::sites::SERVE_WORKER_PANIC);
-        let (response, after) = respond_action(line, &self.service, self.input_dim, Some(self));
-        if after == After::Shutdown {
-            self.trigger_shutdown();
-        }
-        (response, after)
+        respond_action(line, &self.service, self.input_dim, Some(self))
     }
 
     fn refusal_line(&self, refusal: Refusal) -> String {
@@ -716,23 +651,6 @@ impl NetService for ServerShared {
             NetEvent::WriteError => m.write_errors.inc(),
             NetEvent::HandlerPanicked => m.worker_panics.inc(),
             NetEvent::Closed => {}
-            // The listener died: drain; `join` surfaces the loop report's
-            // accept error.
-            NetEvent::AcceptFailed => self.trigger_shutdown(),
-        }
-    }
-
-    fn on_response_written(&self) {
-        // A response only counts as handled once the loop flushed it.
-        // `join` sleeps until the drain starts, so only the request that
-        // spends the budget wakes it (through `trigger_shutdown`).
-        let n = {
-            let mut handled = self.lock_handled();
-            *handled += 1;
-            *handled
-        };
-        if n >= self.cfg.max_requests {
-            self.trigger_shutdown();
         }
     }
 }
@@ -742,37 +660,12 @@ impl NetService for ServerShared {
 ///
 /// [`Server::start`] returns immediately; [`Server::join`] blocks until
 /// the request budget is spent, the listener dies, or a shutdown is
-/// requested (the `SHUTDOWN` verb or [`ServerHandle::shutdown`]), then
+/// requested (the `SHUTDOWN` verb or [`LoopHandle::shutdown`]), then
 /// drains and joins every thread. [`ServeConfigBuilder::start`] builds a
 /// config and starts the server in one fluent call.
 pub struct Server {
     shared: Arc<ServerShared>,
     event_loop: EventLoop,
-}
-
-/// A cloneable remote control for a [`Server`] (shutdown, progress).
-#[derive(Clone)]
-pub struct ServerHandle {
-    shared: Arc<ServerShared>,
-}
-
-impl ServerHandle {
-    /// Requests a graceful shutdown: stop accepting, drain in-flight
-    /// requests, join threads. Idempotent; returns immediately (the
-    /// drain happens in [`Server::join`]).
-    pub fn shutdown(&self) {
-        self.shared.trigger_shutdown();
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
-    }
-
-    /// Requests answered so far.
-    pub fn handled(&self) -> u64 {
-        *self.shared.lock_handled()
-    }
 }
 
 impl Server {
@@ -804,6 +697,7 @@ impl Server {
             idle_timeout: cfg.idle_timeout,
             max_conns: cfg.max_conns.max(1),
             max_conn_requests: cfg.max_conn_requests,
+            max_requests: cfg.max_requests,
             drain_deadline: cfg.drain_deadline,
             workers: workers_n,
             metrics: Some(poe_net::NetMetrics::register(&obs.registry)),
@@ -814,9 +708,6 @@ impl Server {
             service,
             input_dim,
             addr,
-            handled: Mutex::new(0),
-            cvar: Condvar::new(),
-            draining: AtomicBool::new(false),
             metrics,
             batcher,
             net,
@@ -824,11 +715,10 @@ impl Server {
         Ok(Server { shared, event_loop })
     }
 
-    /// A cloneable control handle (usable from other threads).
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            shared: Arc::clone(&self.shared),
-        }
+    /// The event loop's cloneable control handle (usable from other
+    /// threads): shutdown, drain state, responses handled.
+    pub fn handle(&self) -> LoopHandle {
+        self.event_loop.handle()
     }
 
     /// The bound address.
@@ -843,34 +733,23 @@ impl Server {
 
     /// Blocks until the server finishes (budget spent, listener error, or
     /// shutdown requested), drains within the configured deadline, joins
-    /// every thread, and reports.
-    pub fn join(self) -> std::io::Result<ServeReport> {
-        // Every way out (budget spent, listener error, SHUTDOWN) starts
-        // the drain first.
-        {
-            let mut handled = self.shared.lock_handled();
-            while !self.shared.draining.load(Ordering::Acquire) {
-                handled = self
-                    .shared
-                    .cvar
-                    .wait(handled)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        // The loop thread runs the drain itself — refuse idle
-        // connections, finish in-flight ones, force-close stragglers at
-        // the deadline — then exits; its pool's workers are joined next.
+    /// every thread, and reports. Fails with the accept error when a dead
+    /// listener ended the server.
+    pub fn join(self) -> std::io::Result<LoopReport> {
         let report = self.event_loop.join();
-        if report.drain_timed_out {
+        if matches!(report, Ok(r) if r.drain_timed_out) {
             self.shared.metrics.drain_timeouts.inc();
         }
 
         // The black box's shutdown entry, then the final dump (when a
         // recorder dir is configured) — the post-mortem file an operator
         // reads after an unexplained exit.
-        let handled = *self.shared.lock_handled();
         let flight = &self.shared.service.obs().flight;
-        flight.record_for(0, "server.shutdown", format!("handled={handled}"));
+        flight.record_for(
+            0,
+            "server.shutdown",
+            format!("handled={}", self.shared.net.handled()),
+        );
         if let Some(dir) = &self.shared.cfg.recorder_dir {
             match flight.dump_to_dir(dir) {
                 Ok(path) => eprintln!("flight recorder dumped to {}", path.display()),
@@ -880,13 +759,7 @@ impl Server {
         if self.shared.cfg.metrics_on_shutdown {
             eprintln!("METRICS {}", metrics_json(&self.shared.service));
         }
-        if let Some(msg) = report.accept_error {
-            return Err(std::io::Error::other(msg));
-        }
-        Ok(ServeReport {
-            handled,
-            drain_timed_out: report.drain_timed_out,
-        })
+        report
     }
 }
 
@@ -1203,7 +1076,7 @@ fn health_line(service: &QueryService, server: Option<&ServerShared>) -> String 
     let pool_ok = s.cfg.pool_error.is_none();
     let alive = s.net.workers_alive();
     let total = s.cfg.workers.max(1);
-    let draining = s.draining.load(Ordering::Acquire);
+    let draining = s.net.is_draining();
     let rate = s.shed_rate();
     let ready = pool_ok && !draining && alive > 0 && rate <= s.cfg.shed_rate_threshold;
     let (batch_queues, batch_depth) = s.batcher.queue_stats();
@@ -2377,8 +2250,8 @@ mod tests {
         let sizes = reg.histogram("serve.batch.size").snapshot();
         assert_eq!(sizes.count(), 2, "exactly two flushes");
         assert_eq!(sizes.sum_n(), 5);
-        // Power-of-two buckets read back as the next bucket's upper bound.
-        assert_eq!(sizes.quantile_n(1.0), Some(8), "batch of 4");
+        // A count reads back as the largest count of its bucket: [4, 8).
+        assert_eq!(sizes.quantile_n(1.0), Some(7), "batch of 4");
         // The service-level batch accounting fired once per flush too.
         assert_eq!(reg.counter("service.batch.calls").get(), 2);
         assert_eq!(reg.counter("service.batch.rows").get(), 5);
@@ -2519,11 +2392,7 @@ mod tests {
         // One flush, which the row led: a parked row would have needed a
         // second flush to answer it.
         assert_eq!(sizes.count(), 1);
-        assert_eq!(
-            sizes.quantile_n(0.5),
-            Some(2),
-            "batch of 1 (bucket upper bound 2)"
-        );
+        assert_eq!(sizes.quantile_n(0.5), Some(1), "batch of 1");
         assert_eq!(reg.gauge("serve.batch.queue_depth").get(), 0.0);
         server.handle().shutdown();
         server.join().unwrap();
@@ -2560,7 +2429,8 @@ mod tests {
     }
 
     /// SHUTDOWN drains a half-full batch queue: every parked PREDICT is
-    /// answered exactly once before the connections close.
+    /// answered exactly once, by the flush its running leader hands on,
+    /// before the connections close.
     #[test]
     fn shutdown_drains_parked_batches() {
         let _stall = stall_flushes(1, STALL_MS);
@@ -2583,16 +2453,12 @@ mod tests {
         }
         server.join().unwrap();
         let reg = &svc.obs().registry;
-        assert_eq!(reg.counter("serve.batch.flush.drain").get(), 1);
-        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 1);
+        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
+        assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
         let sizes = reg.histogram("serve.batch.size").snapshot();
-        assert_eq!(sizes.count(), 2, "the leader's flush and the drain");
+        assert_eq!(sizes.count(), 2, "the leader's flush and the parked rows'");
         assert_eq!(sizes.sum_n(), 4);
-        assert_eq!(
-            sizes.quantile_n(1.0),
-            Some(4),
-            "one batch of 3 (bucket upper bound 4)"
-        );
+        assert_eq!(sizes.quantile_n(1.0), Some(3), "one batch of 3");
         assert_eq!(depth.get(), 0.0);
     }
 

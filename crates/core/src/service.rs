@@ -48,10 +48,10 @@ pub use poe_obs::LatencyHistogram;
 /// Default number of consolidated task sets kept in the cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
-/// Default cap on rows per batched forward pass: larger
+/// Cap on rows per batched forward pass: larger
 /// [`QueryService::predict_batch`] inputs are split into chunks of at most
 /// this many rows so one enormous batch cannot monopolize the CPU.
-pub const DEFAULT_MAX_BATCH_ROWS: usize = 1024;
+pub const MAX_BATCH_ROWS: usize = 1024;
 
 /// Aggregate service counters, reconstructed from the service's metrics
 /// registry by [`QueryService::stats`].
@@ -221,7 +221,6 @@ pub struct QueryServiceBuilder {
     pool: ExpertPool,
     cache_capacity: usize,
     obs: Option<Arc<Observability>>,
-    max_batch_rows: usize,
 }
 
 impl QueryServiceBuilder {
@@ -240,19 +239,6 @@ impl QueryServiceBuilder {
         self
     }
 
-    /// Caps rows per batched forward pass: larger
-    /// [`QueryService::predict_batch`] inputs run as several chunked
-    /// passes. Default: [`DEFAULT_MAX_BATCH_ROWS`].
-    ///
-    /// # Panics
-    /// Panics if `rows` is 0 — a service that can never run a forward
-    /// pass is a configuration error, not a policy.
-    pub fn max_batch_rows(mut self, rows: usize) -> Self {
-        assert!(rows > 0, "max_batch_rows must be ≥ 1");
-        self.max_batch_rows = rows;
-        self
-    }
-
     /// Builds the service.
     pub fn build(self) -> QueryService {
         let obs = self.obs.unwrap_or_default();
@@ -263,7 +249,6 @@ impl QueryServiceBuilder {
             generation: AtomicU64::new(0),
             obs,
             metrics,
-            max_batch_rows: self.max_batch_rows,
         }
     }
 }
@@ -277,7 +262,6 @@ pub struct QueryService {
     generation: AtomicU64,
     obs: Arc<Observability>,
     metrics: ServiceMetrics,
-    max_batch_rows: usize,
 }
 
 impl QueryService {
@@ -289,7 +273,6 @@ impl QueryService {
             pool,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             obs: None,
-            max_batch_rows: DEFAULT_MAX_BATCH_ROWS,
         }
     }
 
@@ -424,8 +407,8 @@ impl QueryService {
     /// single-sample traffic. `inputs` must be `[n, …]` with the
     /// per-sample shape the pool expects; row `i` of the result is the
     /// prediction for row `i` of the input, exactly what single-sample
-    /// `infer` would have produced. Batches larger than the configured
-    /// `max_batch_rows` run as several chunked forward passes.
+    /// `infer` would have produced. Batches larger than
+    /// [`MAX_BATCH_ROWS`] run as several chunked forward passes.
     ///
     /// Records `service.batch.{calls,rows}` counters plus the
     /// `service.batch.size` and `service.batch.infer_secs` histograms.
@@ -449,7 +432,7 @@ impl QueryService {
         let r = self.query(tasks)?;
 
         let start = Instant::now();
-        let preds = if rows <= self.max_batch_rows {
+        let preds = if rows <= MAX_BATCH_ROWS {
             r.model.predict_with_provenance(inputs)
         } else {
             // Row-major storage: a run of whole rows is a contiguous slice.
@@ -458,7 +441,7 @@ impl QueryService {
             let mut preds = Vec::with_capacity(rows);
             let mut at = 0;
             while at < rows {
-                let take = (rows - at).min(self.max_batch_rows);
+                let take = (rows - at).min(MAX_BATCH_ROWS);
                 let mut shape = dims.to_vec();
                 shape[0] = take;
                 let chunk =
@@ -948,7 +931,6 @@ mod tests {
     #[test]
     fn builder_defaults_match_production_knobs() {
         let svc = QueryService::builder(toy_pool(3, &[0, 1, 2])).build();
-        assert_eq!(svc.max_batch_rows, DEFAULT_MAX_BATCH_ROWS);
         svc.query(&[0]).unwrap();
         svc.query(&[1]).unwrap();
         assert_eq!(svc.cached_consolidations(), 2);
@@ -980,12 +962,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max_batch_rows")]
-    fn builder_rejects_zero_batch_rows() {
-        QueryService::builder(toy_pool(1, &[0])).max_batch_rows(0);
-    }
-
-    #[test]
     fn predict_batch_matches_single_sample_inference() {
         let svc = service(4, &[0, 1, 2, 3]);
         let mut rng = Prng::seed_from_u64(21);
@@ -1004,14 +980,18 @@ mod tests {
 
     #[test]
     fn predict_batch_chunks_large_inputs_identically() {
-        let pool = toy_pool(3, &[0, 1, 2]);
-        let svc = QueryService::builder(pool).max_batch_rows(2).build();
-        let whole = QueryService::builder(toy_pool(3, &[0, 1, 2])).build();
+        let svc = service(3, &[0, 1, 2]);
+        let rows = MAX_BATCH_ROWS + 3;
         let mut rng = Prng::seed_from_u64(22);
-        let batch = Tensor::randn([5, 4], 1.0, &mut rng);
+        let batch = Tensor::randn([rows, 4], 1.0, &mut rng);
         let chunked = svc.predict_batch(&[0, 2], &batch).unwrap();
-        let reference = whole.predict_batch(&[0, 2], &batch).unwrap();
-        assert_eq!(chunked.len(), 5);
+        // One unchunked forward pass over the whole input.
+        let reference = svc
+            .query(&[0, 2])
+            .unwrap()
+            .model
+            .predict_with_provenance(&batch);
+        assert_eq!(chunked.len(), rows);
         for (c, r) in chunked.iter().zip(&reference) {
             assert_eq!(c.class, r.class);
             assert!((c.confidence - r.confidence).abs() < 1e-6);

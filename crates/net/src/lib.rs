@@ -8,9 +8,9 @@
 //!
 //! Layering: this crate knows about **sockets, bytes, and lines** — it
 //! owns accept, the 8 KiB request-line cap, write backpressure, idle
-//! deadlines, connection caps, and drain mechanics. It does not know the
-//! protocol: request parsing, response wording, and business logic live
-//! above it (`poe-cli`'s serve and route layers each implement
+//! deadlines, connection caps, the server-wide request budget, and the
+//! drain. It does not know the protocol: request parsing, response
+//! wording, and business logic live above it (`poe-cli`'s serve and route layers each implement
 //! [`NetService`] once), and the expert pool below never sees a socket.
 //!
 //! * [`framing`] — [`LineBuffer`]/[`LineReader`]/[`send_line`]: the one

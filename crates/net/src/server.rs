@@ -34,6 +34,10 @@
 //!   long`, `ERR idle timeout`, `ERR connection request limit`, `ERR
 //!   shutting down`) is flushing; the connection closes after it.
 //!
+//! The drain starts on [`LoopHandle::shutdown`], on an [`After::Shutdown`]
+//! answer, once [`LoopConfig::max_requests`] responses are flushed, or
+//! when the listener dies; [`EventLoop::join`] returns once it is done.
+//!
 //! The loop never blocks on a socket: the only blocking call is
 //! `epoll_wait`, and pool answers and shutdown arrive via an `eventfd`
 //! [`Waker`].
@@ -46,7 +50,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -171,9 +175,6 @@ pub enum NetEvent {
     HandlerPanicked,
     /// A connection was torn down (always fires, whatever the reason).
     Closed,
-    /// The listener hit a non-transient accept error; the loop is
-    /// draining and will report the error when joined.
-    AcceptFailed,
 }
 
 /// The protocol layer driven by the loop: one line handler plus the
@@ -197,9 +198,6 @@ pub trait NetService: Send + Sync + 'static {
     fn refusal_line(&self, refusal: Refusal) -> String;
     /// Lifecycle notification (default: ignore).
     fn on_event(&self, _event: NetEvent) {}
-    /// A response was fully flushed; request budgets count these, so a
-    /// failed write is never counted as handled.
-    fn on_response_written(&self) {}
 }
 
 /// Transport counters, registered as `net.*` instruments.
@@ -252,6 +250,9 @@ pub struct LoopConfig {
     pub max_conns: usize,
     /// Per-connection request budget (`u64::MAX` = unlimited).
     pub max_conn_requests: u64,
+    /// Server-wide request budget: the drain starts once this many
+    /// responses are fully flushed (`u64::MAX` = run until shut down).
+    pub max_requests: u64,
     /// How long a drain may take before stragglers are force-closed.
     pub drain_deadline: Duration,
     /// Dispatch-pool worker threads (min 1).
@@ -269,6 +270,7 @@ impl Default for LoopConfig {
             idle_timeout: None,
             max_conns: 16 * 1024,
             max_conn_requests: u64::MAX,
+            max_requests: u64::MAX,
             drain_deadline: Duration::from_secs(5),
             workers: 4,
             metrics: None,
@@ -277,13 +279,14 @@ impl Default for LoopConfig {
     }
 }
 
-/// What the loop thread returns once it exits.
-#[derive(Debug, Default)]
+/// What [`EventLoop::join`] reports after a clean exit.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoopReport {
+    /// Responses fully flushed over the loop's lifetime; a failed write
+    /// is never counted.
+    pub handled: u64,
     /// Connections force-closed because the drain deadline passed.
     pub drain_timed_out: bool,
-    /// A non-transient accept error that stopped the listener.
-    pub accept_error: Option<String>,
 }
 
 /// Shared control block between the loop, its handle, and the pool.
@@ -292,6 +295,7 @@ pub(crate) struct Ctl {
     waker: Waker,
     drain: AtomicBool,
     conns: AtomicUsize,
+    handled: AtomicU64,
     completions: Mutex<Vec<Completion>>,
     pub(crate) pool: Pool,
 }
@@ -317,9 +321,23 @@ pub struct LoopHandle {
 impl LoopHandle {
     /// Begins a graceful drain: stop accepting, refuse idle connections,
     /// let in-flight requests finish, force-close at the deadline.
+    /// Idempotent; returns at once ([`EventLoop::join`] waits for the
+    /// drain).
     pub fn shutdown(&self) {
         self.ctl.drain.store(true, Ordering::Release);
         self.ctl.waker.wake();
+    }
+
+    /// Whether the drain has been asked for: by [`Self::shutdown`], an
+    /// [`After::Shutdown`] answer, the spent request budget, or a dead
+    /// listener.
+    pub fn is_draining(&self) -> bool {
+        self.ctl.drain.load(Ordering::Acquire)
+    }
+
+    /// Responses fully flushed so far.
+    pub fn handled(&self) -> u64 {
+        self.ctl.handled.load(Ordering::Acquire)
     }
 
     /// Currently registered connections.
@@ -370,7 +388,7 @@ struct Conn {
 /// pool's workers.
 pub struct EventLoop {
     handle: LoopHandle,
-    thread: Option<JoinHandle<LoopReport>>,
+    thread: Option<JoinHandle<io::Result<LoopReport>>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -395,6 +413,7 @@ impl EventLoop {
             waker,
             drain: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
+            handled: AtomicU64::new(0),
             completions: Mutex::new(Vec::new()),
             pool: Pool::default(),
         });
@@ -419,7 +438,7 @@ impl EventLoop {
             {
                 Ok(w) => event_loop.workers.push(w),
                 Err(e) => {
-                    event_loop.join();
+                    let _ = event_loop.join();
                     return Err(e);
                 }
             }
@@ -437,7 +456,8 @@ impl EventLoop {
             idle_check_at: None,
             drained: false,
             drain_deadline_at: None,
-            report: LoopReport::default(),
+            drain_timed_out: false,
+            accept_error: None,
         };
         match std::thread::Builder::new()
             .name("poe-net-loop".into())
@@ -445,7 +465,7 @@ impl EventLoop {
         {
             Ok(t) => event_loop.thread = Some(t),
             Err(e) => {
-                event_loop.join();
+                let _ = event_loop.join();
                 return Err(e);
             }
         }
@@ -458,11 +478,14 @@ impl EventLoop {
     }
 
     /// Waits for the loop thread to exit (after a drain completes), then
-    /// closes the dispatch pool and joins its workers.
-    pub fn join(mut self) -> LoopReport {
+    /// closes the dispatch pool and joins its workers. Fails with the
+    /// accept error when a dead listener started the drain.
+    pub fn join(mut self) -> io::Result<LoopReport> {
         let report = match self.thread.take() {
-            Some(t) => t.join().unwrap_or_default(),
-            None => LoopReport::default(),
+            Some(t) => t
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("event loop thread panicked"))),
+            None => Ok(LoopReport::default()),
         };
         self.handle.ctl.pool.close();
         for w in self.workers.drain(..) {
@@ -485,7 +508,9 @@ struct LoopInner {
     idle_check_at: Option<Instant>,
     drained: bool,
     drain_deadline_at: Option<Instant>,
-    report: LoopReport,
+    drain_timed_out: bool,
+    /// A non-transient accept error that stopped the listener.
+    accept_error: Option<io::Error>,
 }
 
 impl LoopInner {
@@ -495,7 +520,7 @@ impl LoopInner {
         }
     }
 
-    fn run(&mut self) -> LoopReport {
+    fn run(&mut self) -> io::Result<LoopReport> {
         self.flight(
             "net.loop.start",
             format!("max_conns={}", self.cfg.max_conns),
@@ -541,7 +566,7 @@ impl LoopInner {
                 }
                 if let Some(deadline) = self.drain_deadline_at {
                     if now >= deadline {
-                        self.report.drain_timed_out = true;
+                        self.drain_timed_out = true;
                         self.flight(
                             "net.drain.force",
                             format!("stragglers={}", self.conns.len()),
@@ -553,7 +578,13 @@ impl LoopInner {
             }
         }
         self.flight("net.loop.stop", String::new());
-        std::mem::take(&mut self.report)
+        match self.accept_error.take() {
+            Some(e) => Err(e),
+            None => Ok(LoopReport {
+                handled: self.ctl.handled.load(Ordering::Acquire),
+                drain_timed_out: self.drain_timed_out,
+            }),
+        }
     }
 
     /// The epoll timeout: sleep until the nearest deadline (idle scan or
@@ -601,9 +632,8 @@ impl LoopInner {
                     if e.raw_os_error() == Some(24) || e.raw_os_error() == Some(23) {
                         return;
                     }
-                    self.report.accept_error = Some(e.to_string());
+                    self.accept_error = Some(e);
                     self.ctl.drain.store(true, Ordering::Release);
-                    self.service.on_event(NetEvent::AcceptFailed);
                     return;
                 }
             }
@@ -893,7 +923,10 @@ impl LoopInner {
             PendingWrite::None => {}
             PendingWrite::Response { close } => {
                 let requests = conn.requests;
-                self.service.on_response_written();
+                // Only a fully flushed response counts against the budget.
+                if self.ctl.handled.fetch_add(1, Ordering::AcqRel) + 1 >= self.cfg.max_requests {
+                    self.ctl.drain.store(true, Ordering::Release);
+                }
                 if close {
                     self.teardown(token);
                 } else if requests >= self.cfg.max_conn_requests {
@@ -1078,7 +1111,7 @@ mod tests {
         assert!(matches!(c.read_line(), ReadOutcome::Line(l) if l == "echo one"));
         assert!(matches!(c.read_line(), ReadOutcome::Line(l) if l == "echo two"));
         el.handle().shutdown();
-        el.join();
+        el.join().unwrap();
     }
 
     #[test]
@@ -1109,7 +1142,7 @@ mod tests {
             .count();
         assert_eq!(panics, 2);
         el.handle().shutdown();
-        el.join();
+        el.join().unwrap();
     }
 
     #[test]
@@ -1134,7 +1167,7 @@ mod tests {
             );
         }
         el.handle().shutdown();
-        el.join();
+        el.join().unwrap();
     }
 
     #[test]
@@ -1150,7 +1183,7 @@ mod tests {
         assert!(matches!(c.read_line(), ReadOutcome::Line(l) if l == "ERR line too long"));
         assert!(matches!(c.read_line(), ReadOutcome::Closed));
         el.handle().shutdown();
-        el.join();
+        el.join().unwrap();
     }
 
     #[test]
@@ -1164,7 +1197,7 @@ mod tests {
         assert!(matches!(c.read_line(), ReadOutcome::Line(l) if l == "ERR idle timeout"));
         assert!(matches!(c.read_line(), ReadOutcome::Closed));
         el.handle().shutdown();
-        el.join();
+        el.join().unwrap();
     }
 
     #[test]
@@ -1182,7 +1215,7 @@ mod tests {
         );
         assert!(matches!(c.read_line(), ReadOutcome::Closed));
         el.handle().shutdown();
-        el.join();
+        el.join().unwrap();
     }
 
     #[test]
@@ -1201,7 +1234,7 @@ mod tests {
         assert!(matches!(c.read_line(), ReadOutcome::Closed));
         assert_eq!(svc.shed.load(Ordering::SeqCst), 1);
         el.handle().shutdown();
-        el.join();
+        el.join().unwrap();
     }
 
     #[test]
@@ -1215,9 +1248,39 @@ mod tests {
         // The idle connection is refused and closed.
         assert!(matches!(idle.read_line(), ReadOutcome::Line(l) if l == "ERR shutting down"));
         assert!(matches!(idle.read_line(), ReadOutcome::Closed));
-        let report = el.join();
+        let report = el.join().unwrap();
         assert!(!report.drain_timed_out);
         drop(active);
+    }
+
+    #[test]
+    fn spent_request_budget_drains_the_loop() {
+        let (el, _svc, addr) = start(LoopConfig {
+            max_requests: 2,
+            ..LoopConfig::default()
+        });
+        let handle = el.handle();
+        let mut idle = connect(addr);
+        let mut c = connect(addr);
+        // Pipelined past the budget: the third line is refused, not answered.
+        c.get_ref()
+            .try_clone()
+            .unwrap()
+            .write_all(b"a\nINLINE b\nc\n")
+            .unwrap();
+        for want in ["echo a", "inline INLINE b", "ERR shutting down"] {
+            assert!(
+                matches!(c.read_line(), ReadOutcome::Line(l) if l == want),
+                "{want}"
+            );
+        }
+        assert!(matches!(c.read_line(), ReadOutcome::Closed));
+        assert!(matches!(idle.read_line(), ReadOutcome::Line(l) if l == "ERR shutting down"));
+        assert!(handle.is_draining());
+        let report = el.join().unwrap();
+        assert_eq!(report.handled, 2);
+        assert!(!report.drain_timed_out);
+        assert_eq!(handle.handled(), 2);
     }
 
     /// A handler that only returns once every connection is gone, so its
@@ -1255,7 +1318,7 @@ mod tests {
         let mut shooter = connect(addr);
         assert_eq!(roundtrip(&mut shooter, "SHUTDOWN"), "echo SHUTDOWN");
         let begin = Instant::now();
-        let report = el.join();
+        let report = el.join().unwrap();
         let took = begin.elapsed();
         assert!(
             report.drain_timed_out,

@@ -11,8 +11,9 @@
 //! The same buckets double as a *count-valued* histogram via
 //! [`AtomicHistogram::record_n`] / [`LatencyHistogram::quantile_n`]: a
 //! measurement of `n` (a batch size, a queue depth) lands in the bucket of
-//! `n` nanoseconds, and quantiles come back as counts with the same ≤ 2×
-//! resolution. By convention such instruments are named with a `.size`
+//! `n` nanoseconds, and quantiles come back as the largest count the
+//! containing bucket holds (`2^b − 1`): exact for 0 and 1, and at most a
+//! 2× overestimate beyond. By convention such instruments are named with a `.size`
 //! suffix so exporters render them as raw counts, not milliseconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,6 +107,20 @@ impl LatencyHistogram {
     /// has no percentiles, and reporting `0.0` would read as a false
     /// "zero latency" on a dashboard.
     pub fn quantile(&self, q: f64) -> Option<f64> {
+        self.quantile_bucket(q).map(bucket_upper_secs)
+    }
+
+    /// The count at quantile `q` for a histogram fed through
+    /// [`Self::record_n`], resolved to the largest count the containing
+    /// bucket holds: bucket `b` holds `[2^(b-1), 2^b)`, so this is
+    /// `2^b − 1` — exact for 0 and 1, ≤ 2× overestimate beyond. `None`
+    /// when empty.
+    pub fn quantile_n(&self, q: f64) -> Option<u64> {
+        self.quantile_bucket(q).map(|b| (1u64 << b) - 1)
+    }
+
+    /// The index of the bucket holding quantile `q`; `None` when empty.
+    fn quantile_bucket(&self, q: f64) -> Option<usize> {
         if self.count == 0 {
             return None;
         }
@@ -114,17 +129,10 @@ impl LatencyHistogram {
         for (b, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
-                return Some(bucket_upper_secs(b));
+                return Some(b);
             }
         }
-        Some(bucket_upper_secs(NUM_BUCKETS - 1))
-    }
-
-    /// The count at quantile `q` for a histogram fed through
-    /// [`Self::record_n`], resolved to the containing bucket's upper bound
-    /// (a power of two; ≤ 2× overestimate). `None` when empty.
-    pub fn quantile_n(&self, q: f64) -> Option<u64> {
-        self.quantile(q).map(|secs| (secs * 1e9).round() as u64)
+        Some(NUM_BUCKETS - 1)
     }
 
     /// Builds a snapshot directly from raw bucket counts and a sum.
@@ -245,19 +253,25 @@ mod tests {
     }
 
     #[test]
-    fn count_valued_quantiles_round_trip_powers_of_two() {
-        let a = AtomicHistogram::new();
-        for _ in 0..10 {
-            a.record_n(32);
+    fn count_valued_quantiles_read_the_largest_count_of_the_bucket() {
+        // Bucket `b` holds [2^(b-1), 2^b): 0 and 1 read back exactly, 3
+        // tops the [2, 4) bucket, and 4 and 32 read back as the top of
+        // theirs.
+        for (n, want) in [(0u64, 0u64), (1, 1), (3, 3), (4, 7), (32, 63)] {
+            let a = AtomicHistogram::new();
+            for _ in 0..10 {
+                a.record_n(n);
+            }
+            let snap = a.snapshot();
+            assert_eq!(snap.count(), 10);
+            assert_eq!(snap.quantile_n(0.5), Some(want), "n={n}");
         }
-        let snap = a.snapshot();
-        assert_eq!(snap.count(), 10);
-        // 32 sits in the (16, 32]… bucket family: upper bound 64, a ≤ 2×
-        // overestimate, and exact powers of two read back as themselves
-        // shifted one bucket up.
-        let p50 = snap.quantile_n(0.5).unwrap();
-        assert!((32..=64).contains(&p50), "p50 {p50}");
-        assert!(p50.is_power_of_two());
+        let mut h = LatencyHistogram::default();
+        for n in [1u64, 1, 1, 4] {
+            h.record_n(n);
+        }
+        assert_eq!(h.quantile_n(0.5), Some(1), "the median flush of 1 row");
+        assert_eq!(h.quantile_n(1.0), Some(7));
         assert_eq!(LatencyHistogram::default().quantile_n(0.5), None);
     }
 

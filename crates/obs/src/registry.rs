@@ -344,7 +344,7 @@ mod tests {
         r.histogram("serve.batch.empty.size"); // registered, never recorded
         let json = r.snapshot().to_json();
         assert!(
-            json.contains("\"serve.batch.size\":{\"count\":1,\"p50\":64,\"p95\":64,\"p99\":64}"),
+            json.contains("\"serve.batch.size\":{\"count\":1,\"p50\":63,\"p95\":63,\"p99\":63}"),
             "{json}"
         );
         assert!(

@@ -15,7 +15,6 @@ use crate::shardmap::ShardMap;
 use poe_obs::{AtomicHistogram, Counter, Observability};
 use poe_tensor::Prng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -201,7 +200,6 @@ pub struct Router {
     obs: Arc<Observability>,
     metrics: RouterMetrics,
     rng: Mutex<Prng>,
-    inflight: AtomicUsize,
 }
 
 impl Router {
@@ -232,7 +230,6 @@ impl Router {
             obs,
             metrics,
             rng: Mutex::new(Prng::seed_from_u64(cfg.seed)),
-            inflight: AtomicUsize::new(0),
         }
     }
 
@@ -254,23 +251,6 @@ impl Router {
     /// The instrument set.
     pub fn metrics(&self) -> &RouterMetrics {
         &self.metrics
-    }
-
-    /// Scatters currently in flight (drain waits on this).
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Acquire)
-    }
-
-    /// Blocks until no scatter is in flight or `deadline` passes;
-    /// returns whether the router is idle.
-    pub fn wait_idle(&self, deadline: Instant) -> bool {
-        while self.inflight() > 0 {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
     }
 
     /// Closes every pooled backend connection (after a drain).
@@ -583,8 +563,6 @@ impl Router {
         rid: u64,
     ) -> Vec<Result<String, ShardFailure>> {
         assert_eq!(groups.len(), lines.len());
-        self.inflight.fetch_add(1, Ordering::AcqRel);
-        let _guard = InflightGuard(&self.inflight);
         self.obs.flight.record_for(
             rid,
             "router.scatter",
@@ -838,14 +816,6 @@ impl Router {
             }
         }
         Ok((tasks, experts, classes))
-    }
-}
-
-struct InflightGuard<'a>(&'a AtomicUsize);
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 

@@ -250,7 +250,7 @@ fn shutdown_drains_half_full_batch_queue_under_chaos() {
             max_hits: Some(8),
         })
         // The first flush stalls, and the rows sent meanwhile park behind
-        // it until the drain.
+        // it; the drain waits for the flush that hands them on.
         .with(Fault::times(
             sites::SERVE_BATCH_STALL,
             FaultKind::StallMs(2000),
@@ -310,7 +310,13 @@ fn shutdown_drains_half_full_batch_queue_under_chaos() {
     }
     server.join().unwrap();
     let reg = &svc.obs().registry;
-    assert_eq!(reg.counter("serve.batch.flush.drain").get(), 1);
+    // The stalled flush, then the three parked rows as the batch it hands
+    // on inside the connection drain.
+    assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
+    assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
+    let sizes = reg.histogram("serve.batch.size").snapshot();
+    assert_eq!(sizes.count(), 2);
+    assert_eq!(sizes.sum_n(), 4);
     assert_eq!(reg.counter("serve.batch.aborted").get(), 0);
     assert_eq!(depth.get(), 0.0);
 }
