@@ -1,7 +1,9 @@
 //! The headline claim: PoE answers a model query in (sub-)milliseconds
 //! because consolidation is pure assembly. This bench measures
 //! `ExpertPool::consolidate` and `QueryService::query` latency as `n(Q)`
-//! grows — the train-free counterpart of the paper's Figures 6/7.
+//! grows — the train-free counterpart of the paper's Figures 6/7 — and
+//! the cost of a consolidation that faults its experts in from the
+//! segment store (`consolidate/lazy_fault`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use poe_core::pool::{Expert, ExpertPool};
@@ -46,7 +48,36 @@ fn bench_consolidate(c: &mut Criterion) {
             b.iter(|| pool.consolidate(black_box(&query)).unwrap())
         });
     }
+
+    // Every query faults: a lazily opened segment store with 6 of 20
+    // experts resident, queried in disjoint groups of 4 round-robin, so
+    // each consolidation loads (and evicts) 4 experts — the cache-miss
+    // path of a catalog-scale server.
+    use poe_core::store::{load_standalone, save_standalone};
+    let dir = std::env::temp_dir().join("poe_bench_lazy_fault");
+    save_standalone(&pool, &cifar_spec(), &dir).unwrap();
+    let (mut lazy, _) = load_standalone(&dir).unwrap();
+    lazy.set_resident_budget(6);
+    let groups: Vec<Vec<usize>> = (0..5).map(|g| (4 * g..4 * g + 4).collect()).collect();
+    let mut next = 0;
+    group.bench_function("lazy_fault", |b| {
+        b.iter(|| {
+            next = (next + 1) % groups.len();
+            lazy.consolidate(black_box(&groups[next])).unwrap()
+        })
+    });
     group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The rebuild spec of [`build_pool`]'s architecture.
+fn cifar_spec() -> poe_core::store::PoolSpec {
+    poe_core::store::PoolSpec {
+        student_arch: WrnConfig::new(16, 1.0, 1.0, 100),
+        expert_ks: 0.25,
+        library_groups: 3,
+        input_dim: 32,
+    }
 }
 
 fn bench_service_query(c: &mut Criterion) {
@@ -122,14 +153,9 @@ fn bench_library_width_scaling(c: &mut Criterion) {
 }
 
 fn bench_store_io(c: &mut Criterion) {
-    use poe_core::store::{load_standalone, save_standalone, PoolSpec};
+    use poe_core::store::{load_standalone, save_standalone};
     let pool = build_pool();
-    let spec = PoolSpec {
-        student_arch: WrnConfig::new(16, 1.0, 1.0, 100),
-        expert_ks: 0.25,
-        library_groups: 3,
-        input_dim: 32,
-    };
+    let spec = cifar_spec();
     let dir = std::env::temp_dir().join("poe_bench_store");
     save_standalone(&pool, &spec, &dir).unwrap();
     c.bench_function("store_save_20_experts", |b| {

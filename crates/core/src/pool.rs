@@ -3,9 +3,10 @@
 //! [`ExpertPool`] is the persistent artifact of the preprocessing phase —
 //! the paper's view of a neural network as a *database*: one shared
 //! *library* component plus one tiny *expert* per primitive task. The
-//! service phase answers a composite-task query by cloning the library and
-//! the required experts into a [`BranchedModel`] whose logits are
-//! concatenated — no training, just assembly.
+//! service phase answers a composite-task query by assembling the library
+//! and the required experts into a [`BranchedModel`] whose logits are
+//! concatenated — no training, just assembly. The library and every dense
+//! expert are shared by reference (`Arc`), so assembly copies no weights.
 //!
 //! At 10k-expert scale the pool no longer holds every expert in memory.
 //! An attached [`ExpertSource`] (the POEM v4 segment store) provides the
@@ -14,7 +15,9 @@
 //! a version so a re-extracted replacement can be hot-swapped while
 //! serving. Residency is interior state (a mutex inside the pool), so
 //! [`ExpertPool::consolidate`] stays `&self` and the service layer's
-//! read-lock fast path is unchanged.
+//! read-lock fast path is unchanged. The mutex guards bookkeeping only:
+//! a lazy load runs with it released, and concurrent misses of one expert
+//! share a single load.
 
 use poe_data::ClassHierarchy;
 use poe_models::serialize::{
@@ -23,10 +26,10 @@ use poe_models::serialize::{
 };
 use poe_models::{Branch, BranchedModel, QuantizedModule};
 use poe_nn::layers::Sequential;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One pooled expert: the trained head for a primitive task.
@@ -67,15 +70,17 @@ pub struct SourceEntry {
 /// A backing store that can enumerate and lazily load experts — the
 /// abstraction behind the POEM v4 segment store
 /// (`poe_core::store::load_standalone`). Implementations must be safe to
-/// call from multiple threads.
+/// call from multiple threads: the pool calls them with no lock held, so
+/// loads of different tasks may overlap.
 pub trait ExpertSource: Send + Sync {
     /// Every expert the store holds, ascending by task.
     fn catalog(&self) -> Vec<SourceEntry>;
-    /// Loads one expert's payload from the store.
+    /// Loads one expert's payload from the store as it was opened (or
+    /// last reloaded).
     fn load(&self, task: usize) -> Result<LoadedExpert, SerializeError>;
-    /// Re-reads the store's index from disk before loading, so a segment
-    /// that was atomically replaced since open (a re-extraction) is
-    /// picked up — the hot-swap path.
+    /// Re-opens the store before loading, so a segment that was
+    /// atomically replaced since open (a re-extraction) is picked up —
+    /// the hot-swap path. Later `load`s read the re-opened store.
     fn reload(&self, task: usize) -> Result<LoadedExpert, SerializeError>;
 }
 
@@ -195,16 +200,124 @@ impl fmt::Display for QuantizationReport {
     }
 }
 
+/// One resident expert. Both parts are shared, so handing a resident out
+/// under the residency lock costs two refcount bumps; dequantizing and
+/// assembling happen after the lock is released.
+#[derive(Clone)]
+struct Resident {
+    /// The expert as a model branch. A dense expert's branch goes into
+    /// assembled models as is; a quantized expert's head holds placeholder
+    /// weights.
+    branch: Arc<Branch>,
+    /// The int8 payload of a quantized expert; consolidation dequantizes
+    /// from here at assemble time.
+    quantized: Option<Arc<QuantizedModule>>,
+}
+
+impl Resident {
+    fn new(expert: Expert, quantized: Option<QuantizedModule>) -> Self {
+        Resident {
+            branch: Arc::new(Branch {
+                task_index: expert.task_index,
+                head: expert.head,
+                classes: expert.classes,
+            }),
+            quantized: quantized.map(Arc::new),
+        }
+    }
+
+    /// A standalone copy of the expert (tensors are copy-on-write).
+    fn expert(&self) -> Expert {
+        Expert {
+            task_index: self.branch.task_index,
+            classes: self.branch.classes.clone(),
+            head: self.branch.head.clone(),
+        }
+    }
+
+    /// The branch an assembled model gets: the shared one for a dense
+    /// expert, a dequantized copy for a quantized one.
+    fn into_branch(self) -> Arc<Branch> {
+        let Some(q) = self.quantized else {
+            return self.branch;
+        };
+        // Dequantize-on-assemble: the pooled head only holds placeholders;
+        // materialize dense weights into this copy (copy-on-write detaches
+        // it from the pool).
+        let mut branch = Branch::clone(&self.branch);
+        q.restore_into(&mut branch.head)
+            .expect("quantized payload matches its own expert head");
+        poe_obs::global_counter!("pool.dequantize.experts").inc();
+        Arc::new(branch)
+    }
+}
+
+/// A lazy load in progress. The first miss of a task registers one and
+/// performs the load; later misses of the same task wait here and share
+/// its outcome (single-flight).
+#[derive(Default)]
+struct Flight {
+    outcome: Mutex<Option<Result<Resident, QueryError>>>,
+    done: Condvar,
+}
+
+// The outcome is written by one assignment, so a poisoned lock still
+// guards a valid value; recovering it keeps `finish` panic-free for the
+// unwinding path of `OwedFlights::drop`.
+impl Flight {
+    fn finish(&self, outcome: Result<Resident, QueryError>) {
+        *self.outcome.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        self.done.notify_all();
+    }
+
+    fn wait(&self) -> Result<Resident, QueryError> {
+        let outcome = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        let outcome = self
+            .done
+            .wait_while(outcome, |o| o.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        outcome.clone().expect("woken with an outcome")
+    }
+}
+
+/// The flights one consolidation registered and still owes an outcome,
+/// oldest first. If a load panics, dropping this unregisters and fails
+/// every unfinished flight, so no waiter hangs and the next miss retries.
+struct OwedFlights<'a> {
+    pool: &'a ExpertPool,
+    flights: VecDeque<(usize, Arc<Flight>)>,
+}
+
+impl Drop for OwedFlights<'_> {
+    fn drop(&mut self) {
+        if self.flights.is_empty() {
+            return;
+        }
+        let mut state = self
+            .pool
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (task, flight) in self.flights.drain(..) {
+            state.loading.remove(&task);
+            flight.finish(Err(QueryError::ExpertLoad {
+                task,
+                detail: "expert load panicked".into(),
+            }));
+        }
+    }
+}
+
 /// Interior residency state: which experts are in memory right now, what
 /// the catalog knows, and the policy knobs. Guarded by a mutex inside
 /// [`ExpertPool`] so lazy loads and evictions can happen behind `&self`.
+/// The lock is held for bookkeeping only, never across a source load.
 #[derive(Clone, Default)]
 struct Residency {
-    /// Resident expert heads.
-    experts: BTreeMap<usize, Expert>,
-    /// Int8 payloads for resident experts whose heads hold placeholder
-    /// weights; consolidation dequantizes from here at assemble time.
-    quantized: BTreeMap<usize, QuantizedModule>,
+    /// Resident experts.
+    experts: BTreeMap<usize, Resident>,
+    /// Lazy loads in progress, by task.
+    loading: BTreeMap<usize, Arc<Flight>>,
     /// The catalog: every known expert (resident or not) and its current
     /// version. Membership here is what `has_expert` answers.
     versions: BTreeMap<usize, u64>,
@@ -240,7 +353,8 @@ impl Residency {
 /// The pool: hierarchy + library + experts (resident or source-backed).
 pub struct ExpertPool {
     hierarchy: ClassHierarchy,
-    library: Sequential,
+    /// Shared with every model assembled from the pool.
+    library: Arc<Sequential>,
     state: Mutex<Residency>,
     /// Architecture tag of the library (for display).
     pub library_arch: String,
@@ -250,10 +364,12 @@ pub struct ExpertPool {
 
 impl Clone for ExpertPool {
     fn clone(&self) -> Self {
-        let state = self.state.lock().unwrap().clone();
+        let mut state = self.state().clone();
+        // Loads in flight belong to the original's callers.
+        state.loading.clear();
         ExpertPool {
             hierarchy: self.hierarchy.clone(),
-            library: self.library.clone(),
+            library: Arc::clone(&self.library),
             state: Mutex::new(state),
             library_arch: self.library_arch.clone(),
             expert_arch: self.expert_arch.clone(),
@@ -266,7 +382,7 @@ impl ExpertPool {
     pub fn new(hierarchy: ClassHierarchy, library: Sequential) -> Self {
         ExpertPool {
             hierarchy,
-            library,
+            library: Arc::new(library),
             state: Mutex::new(Residency::default()),
             library_arch: String::new(),
             expert_arch: String::new(),
@@ -283,7 +399,7 @@ impl ExpertPool {
         &self.library
     }
 
-    fn state(&self) -> std::sync::MutexGuard<'_, Residency> {
+    fn state(&self) -> MutexGuard<'_, Residency> {
         self.state.lock().unwrap()
     }
 
@@ -299,9 +415,8 @@ impl ExpertPool {
         let task = expert.task_index;
         let state = self.state.get_mut().unwrap();
         // A freshly inserted head is dense: any stale int8 payload from a
-        // previously quantized expert for this task must not shadow it.
-        state.quantized.remove(&task);
-        state.experts.insert(task, expert);
+        // previously quantized expert for this task goes with the old one.
+        state.experts.insert(task, Resident::new(expert, None));
         state.pinned.insert(task);
         state.touch(task);
         let version = state.versions.get(&task).copied().unwrap_or(0) + 1;
@@ -359,7 +474,10 @@ impl ExpertPool {
     /// quantized (its head holds placeholder weights backed by an int8
     /// payload).
     pub fn is_quantized(&self, task_index: usize) -> bool {
-        self.state().quantized.contains_key(&task_index)
+        self.state()
+            .experts
+            .get(&task_index)
+            .is_some_and(|r| r.quantized.is_some())
     }
 
     /// Quantizes every *resident* expert head to int8 row-wise weights,
@@ -377,17 +495,18 @@ impl ExpertPool {
             quantized_bytes: 0,
             max_error_bound: 0.0,
         };
-        for (&t, e) in &mut state.experts {
-            if state.quantized.contains_key(&t) {
+        for r in state.experts.values_mut() {
+            if r.quantized.is_some() {
                 continue;
             }
-            report.dense_bytes += module_byte_size(&e.head);
-            let q = QuantizedModule::from_module(&e.head);
-            QuantizedModule::strip_weights(&mut e.head);
-            report.quantized_bytes += module_byte_size_quantized(&e.head, &q);
+            report.dense_bytes += module_byte_size(&r.branch.head);
+            let q = QuantizedModule::from_module(&r.branch.head);
+            let head = &mut Arc::make_mut(&mut r.branch).head;
+            QuantizedModule::strip_weights(head);
+            report.quantized_bytes += module_byte_size_quantized(head, &q);
             report.max_error_bound = report.max_error_bound.max(q.error_bound());
             report.experts += 1;
-            state.quantized.insert(t, q);
+            r.quantized = Some(Arc::new(q));
         }
         report
     }
@@ -399,11 +518,11 @@ impl ExpertPool {
     /// Panics if no resident expert exists for `task_index`.
     pub fn attach_quantized(&mut self, task_index: usize, q: QuantizedModule) {
         let state = self.state.get_mut().unwrap();
-        assert!(
-            state.experts.contains_key(&task_index),
-            "no expert pooled for task {task_index}"
-        );
-        state.quantized.insert(task_index, q);
+        let resident = state
+            .experts
+            .get_mut(&task_index)
+            .unwrap_or_else(|| panic!("no expert pooled for task {task_index}"));
+        resident.quantized = Some(Arc::new(q));
     }
 
     /// Number of pooled experts (resident or source-backed).
@@ -438,29 +557,26 @@ impl ExpertPool {
     /// `None` if the task is not in the catalog or its payload fails to
     /// load.
     pub fn expert(&self, task_index: usize) -> Option<Expert> {
-        let mut state = self.state();
-        if !state.experts.contains_key(&task_index) {
-            self.ensure_resident_locked(&mut state, task_index).ok()?;
-            Self::enforce_budget_locked(&mut state, &[task_index]);
-        } else {
-            state.touch(task_index);
+        let state = self.state();
+        if !state.versions.contains_key(&task_index) {
+            return None;
         }
-        state.experts.get(&task_index).cloned()
+        let resident = self.residents(state, &[task_index]).ok()?.pop()?;
+        Some(resident.expert())
     }
 
     /// Like [`ExpertPool::expert`], but also returns the int8 payload and
     /// version — what a store writer needs to re-serialize the expert.
     pub fn loaded_expert(&self, task_index: usize) -> Option<LoadedExpert> {
-        let mut state = self.state();
-        if !state.experts.contains_key(&task_index) {
-            self.ensure_resident_locked(&mut state, task_index).ok()?;
-            Self::enforce_budget_locked(&mut state, &[task_index]);
+        let state = self.state();
+        if !state.versions.contains_key(&task_index) {
+            return None;
         }
-        let expert = state.experts.get(&task_index).cloned()?;
+        let resident = self.residents(state, &[task_index]).ok()?.pop()?;
         Some(LoadedExpert {
-            expert,
-            quantized: state.quantized.get(&task_index).cloned(),
-            version: state.versions.get(&task_index).copied().unwrap_or(1),
+            expert: resident.expert(),
+            quantized: resident.quantized.map(|q| QuantizedModule::clone(&q)),
+            version: self.expert_version(task_index).unwrap_or(1),
         })
     }
 
@@ -470,40 +586,113 @@ impl ExpertPool {
         self.state().versions.keys().copied().collect()
     }
 
-    /// Loads `task` into residency from the attached source, recording
-    /// the `pool.lazy.loads` counter and an `expert.load` flight event.
-    fn ensure_resident_locked(&self, state: &mut Residency, task: usize) -> Result<(), QueryError> {
-        if state.experts.contains_key(&task) {
-            state.touch(task);
-            return Ok(());
+    /// Hands out the resident expert of every task in `tasks` (all in the
+    /// catalog), in order, faulting the missing ones in from the source.
+    ///
+    /// `state` is held only to take handles, to register loads and to
+    /// install their results. The loads themselves (source I/O, decode,
+    /// validation) run with it released, so a slow fault never blocks a
+    /// consolidation of resident experts. A miss of a task that another
+    /// caller is already loading waits for that load instead of starting
+    /// a second one. The first failing task in `tasks` order decides the
+    /// error.
+    fn residents(
+        &self,
+        mut state: MutexGuard<'_, Residency>,
+        tasks: &[usize],
+    ) -> Result<Vec<Resident>, QueryError> {
+        enum Slot {
+            Ready(Resident),
+            Pending(Arc<Flight>),
         }
-        let source = state.source.clone().ok_or_else(|| QueryError::ExpertLoad {
-            task,
-            detail: "expert not resident and no store attached".into(),
-        })?;
+        let source = state.source.clone();
+        if source.is_none() {
+            if let Some(&task) = tasks.iter().find(|t| !state.experts.contains_key(t)) {
+                return Err(QueryError::ExpertLoad {
+                    task,
+                    detail: "expert not resident and no store attached".into(),
+                });
+            }
+        }
+        let mut owed = OwedFlights {
+            pool: self,
+            flights: Default::default(),
+        };
+        let slots: Vec<Slot> = tasks
+            .iter()
+            .map(|&t| {
+                if let Some(r) = state.experts.get(&t) {
+                    let r = r.clone();
+                    state.touch(t);
+                    Slot::Ready(r)
+                } else if let Some(flight) = state.loading.get(&t) {
+                    Slot::Pending(Arc::clone(flight))
+                } else {
+                    let flight = Arc::new(Flight::default());
+                    state.loading.insert(t, Arc::clone(&flight));
+                    owed.flights.push_back((t, Arc::clone(&flight)));
+                    Slot::Pending(flight)
+                }
+            })
+            .collect();
+        drop(state);
+
+        // Every load this call owes runs before it waits on anyone else's,
+        // so two consolidations that each wait on the other's task cannot
+        // deadlock.
+        while let Some((task, flight)) = owed.flights.front().cloned() {
+            let source = source.as_deref().expect("a miss implies a source");
+            let outcome = self.fault(source, task);
+            let mut state = self.state();
+            state.loading.remove(&task);
+            let outcome = outcome.map(|(loaded, version)| {
+                // Install only if still absent; whatever is resident wins.
+                let resident = match state.experts.get(&task) {
+                    Some(r) => r.clone(),
+                    None => {
+                        state.experts.insert(task, loaded.clone());
+                        state.versions.insert(task, version);
+                        loaded
+                    }
+                };
+                state.touch(task);
+                Self::enforce_budget_locked(&mut state, tasks);
+                resident
+            });
+            drop(state);
+            flight.finish(outcome);
+            owed.flights.pop_front();
+        }
+
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Ready(r) => Ok(r),
+                Slot::Pending(flight) => flight.wait(),
+            })
+            .collect()
+    }
+
+    /// Loads one expert from `source` — with no lock held — recording the
+    /// `pool.lazy.loads` counter and an `expert.load` flight event that
+    /// carries the fault's duration in microseconds.
+    fn fault(&self, source: &dyn ExpertSource, task: usize) -> Result<(Resident, u64), QueryError> {
+        let start = Instant::now();
         let loaded = source.load(task).map_err(|e| QueryError::ExpertLoad {
             task,
             detail: e.to_string(),
         })?;
         self.validate_expert(&loaded.expert);
-        state.experts.insert(task, loaded.expert);
-        match loaded.quantized {
-            Some(q) => {
-                state.quantized.insert(task, q);
-            }
-            None => {
-                state.quantized.remove(&task);
-            }
-        }
-        state.versions.insert(task, loaded.version);
-        state.touch(task);
+        let us = start.elapsed().as_micros();
         poe_obs::global_counter!("pool.lazy.loads").inc();
-        state.resident_gauge();
         poe_obs::FlightRecorder::global().record(
             "expert.load",
-            format!("task={task} version={}", loaded.version),
+            format!("task={task} version={} us={us}", loaded.version),
         );
-        Ok(())
+        Ok((
+            Resident::new(loaded.expert, loaded.quantized),
+            loaded.version,
+        ))
     }
 
     /// Evicts least-recently-used residents down to the budget, skipping
@@ -524,7 +713,6 @@ impl ExpertPool {
                 break;
             };
             state.experts.remove(&victim);
-            state.quantized.remove(&victim);
             state.lru.retain(|&t| t != victim);
             poe_obs::global_counter!("pool.lazy.evictions").inc();
             poe_obs::FlightRecorder::global().record("expert.evict", format!("task={victim}"));
@@ -567,15 +755,9 @@ impl ExpertPool {
         self.validate_expert(&loaded.expert);
         let task = loaded.expert.task_index;
         let state = self.state.get_mut().unwrap();
-        state.experts.insert(task, loaded.expert);
-        match loaded.quantized {
-            Some(q) => {
-                state.quantized.insert(task, q);
-            }
-            None => {
-                state.quantized.remove(&task);
-            }
-        }
+        state
+            .experts
+            .insert(task, Resident::new(loaded.expert, loaded.quantized));
         state.versions.insert(task, loaded.version);
         state.pinned.remove(&task);
         state.touch(task);
@@ -621,7 +803,7 @@ impl ExpertPool {
         if query.is_empty() {
             return Err(QueryError::EmptyQuery);
         }
-        let mut state = self.state();
+        let state = self.state();
         let mut seen = vec![false; self.hierarchy.num_primitives()];
         for &t in query {
             if t >= self.hierarchy.num_primitives() {
@@ -638,40 +820,20 @@ impl ExpertPool {
 
         let _span = poe_obs::span("pool.consolidate");
         let start = Instant::now();
-        for &t in query {
-            self.ensure_resident_locked(&mut state, t)?;
-        }
-        let branches: Vec<Branch> = query
-            .iter()
-            .map(|t| {
-                let e = &state.experts[t];
-                let mut head = e.head.clone();
-                if let Some(q) = state.quantized.get(t) {
-                    // Dequantize-on-assemble: the pooled head only holds
-                    // placeholders; materialize dense weights into this
-                    // clone (copy-on-write detaches it from the pool).
-                    q.restore_into(&mut head)
-                        .expect("quantized payload matches its own expert head");
-                    poe_obs::global_counter!("pool.dequantize.experts").inc();
-                }
-                Branch {
-                    task_index: e.task_index,
-                    head,
-                    classes: e.classes.clone(),
-                }
-            })
+        // The residents hold their own Arc'd parts, so evicting them later
+        // (on any query) cannot touch this model.
+        let branches = self
+            .residents(state, query)?
+            .into_iter()
+            .map(Resident::into_branch)
             .collect();
-        // The branches above hold their own Arc'd tensors, so evicting
-        // now (or on any later query) cannot touch this model.
-        Self::enforce_budget_locked(&mut state, query);
-        drop(state);
         let arch = format!(
             "{} + [{}]ᵀ×{}",
             self.library_arch,
             self.expert_arch,
             query.len()
         );
-        let model = BranchedModel::new(arch, self.library.clone(), branches);
+        let model = BranchedModel::from_shared(arch, Arc::clone(&self.library), branches);
         let stats = ConsolidationStats {
             assembly_secs: start.elapsed().as_secs_f64(),
             num_experts: query.len(),
@@ -686,14 +848,14 @@ impl ExpertPool {
     /// the segment index.
     pub fn volumes(&self) -> VolumeReport {
         let state = self.state();
-        let library_bytes = module_byte_size(&self.library);
+        let library_bytes = module_byte_size(self.library.as_ref());
         let expert_bytes: BTreeMap<usize, u64> = state
             .versions
             .keys()
             .map(|&t| match state.experts.get(&t) {
-                Some(e) => match state.quantized.get(&t) {
-                    Some(q) => (t, module_byte_size_quantized(&e.head, q)),
-                    None => (t, module_byte_size(&e.head)),
+                Some(r) => match &r.quantized {
+                    Some(q) => (t, module_byte_size_quantized(&r.branch.head, q)),
+                    None => (t, module_byte_size(&r.branch.head)),
                 },
                 None => (t, state.stored_bytes.get(&t).copied().unwrap_or(0)),
             })
@@ -716,12 +878,12 @@ impl ExpertPool {
         let state = self.state();
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(SerializeError::Io)?;
-        let mut total = save_module(dir.join("library.poem"), &self.library)?;
-        for (t, e) in &state.experts {
+        let mut total = save_module(dir.join("library.poem"), self.library.as_ref())?;
+        for (t, r) in &state.experts {
             let path = dir.join(format!("expert_{t}.poem"));
-            total += match state.quantized.get(t) {
-                Some(q) => save_module_quantized(path, &e.head, q)?,
-                None => save_module(path, &e.head)?,
+            total += match &r.quantized {
+                Some(q) => save_module_quantized(path, &r.branch.head, q)?,
+                None => save_module(path, &r.branch.head)?,
             };
         }
         Ok(total)
@@ -732,17 +894,15 @@ impl ExpertPool {
     /// resident components.
     pub fn load_from_dir(&mut self, dir: impl AsRef<Path>) -> Result<(), SerializeError> {
         let dir = dir.as_ref();
-        load_module(dir.join("library.poem"), &mut self.library)?;
+        let library: &mut Sequential = Arc::make_mut(&mut self.library);
+        load_module(dir.join("library.poem"), library)?;
         let state = self.state.get_mut().unwrap();
-        let mut quantized = BTreeMap::new();
-        for (t, e) in &mut state.experts {
+        for (t, r) in &mut state.experts {
             let path = dir.join(format!("expert_{t}.poem"));
-            if let Some(q) = load_module_quantized(path, &mut e.head)? {
-                quantized.insert(*t, q);
-            }
+            let head = &mut Arc::make_mut(&mut r.branch).head;
+            // Dense files clear any stale int8 payload.
+            r.quantized = load_module_quantized(path, head)?.map(Arc::new);
         }
-        // Replace wholesale: dense files clear any stale int8 payloads.
-        state.quantized = quantized;
         Ok(())
     }
 }
@@ -903,9 +1063,7 @@ mod tests {
         // A pool with the same structure but different weights converges to
         // the saved weights after load.
         let mut other = toy_pool(3, &[0, 1, 2]);
-        other
-            .library
-            .visit_params(&mut |p| p.value.map_in_place(|_| 0.123));
+        Arc::make_mut(&mut other.library).visit_params(&mut |p| p.value.map_in_place(|_| 0.123));
         other.load_from_dir(&dir).unwrap();
 
         let (a, _) = pool.consolidate(&[0, 1, 2]).unwrap();
@@ -925,13 +1083,24 @@ mod tests {
         // Consolidation shares the pool's weight buffers (copy-on-write), so
         // an in-place pool update — a fine-tuning step, a reload — must
         // detach rather than leak into already-assembled models.
-        pool.library
-            .visit_params(&mut |p| p.value.map_in_place(|v| v + 1.0));
+        Arc::make_mut(&mut pool.library).visit_params(&mut |p| p.value.map_in_place(|v| v + 1.0));
         assert!(before.infer(&x).max_abs_diff(&y_before) == 0.0);
 
         // Only an explicit re-consolidation observes the new weights.
         let (after, _) = pool.consolidate(&[0, 2]).unwrap();
         assert!(after.infer(&x).max_abs_diff(&y_before) > 1e-3);
+    }
+
+    #[test]
+    fn resident_dense_experts_and_the_library_assemble_by_reference() {
+        let pool = toy_pool(3, &[0, 1, 2]);
+        let (a, _) = pool.consolidate(&[0, 2]).unwrap();
+        let (b, _) = pool.consolidate(&[2, 1]).unwrap();
+        assert!(Arc::ptr_eq(&a.shared_library(), &b.shared_library()));
+        assert!(Arc::ptr_eq(
+            &a.shared_branches()[1],
+            &b.shared_branches()[0]
+        ));
     }
 
     #[test]
@@ -1119,6 +1288,35 @@ mod tests {
         // The failure is transient: clearing it makes the query work.
         source.fail.lock().unwrap().clear();
         pool.consolidate(&[0, 1]).unwrap();
+    }
+
+    #[test]
+    fn panicking_lazy_load_leaves_no_marker_behind() {
+        let (pool, source) = lazy_pool(3);
+        let good = source.experts.lock().unwrap()[&1].clone();
+        // An expert whose classes disagree with the hierarchy fails
+        // validation, which panics inside the load.
+        let mut bad = good.clone();
+        bad.0.classes = vec![0, 1];
+        source.experts.lock().unwrap().insert(1, bad);
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.consolidate(&[1])));
+        assert!(panicked.is_err());
+        assert!(!pool.is_resident(1));
+
+        // The in-flight marker went with the panic: the next miss loads
+        // again instead of waiting forever on the dead load.
+        source.experts.lock().unwrap().insert(1, good);
+        let pool = Arc::new(pool);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&pool);
+        let retry = std::thread::spawn(move || tx.send(worker.consolidate(&[1]).is_ok()));
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)),
+            Ok(true)
+        );
+        retry.join().unwrap().unwrap();
+        assert!(pool.is_resident(1));
     }
 
     #[test]

@@ -27,14 +27,16 @@ use crate::pool::{Expert, ExpertPool, ExpertSource, LoadedExpert, SourceEntry};
 use poe_data::{ClassHierarchy, PrimitiveTask};
 use poe_models::serialize::{
     atomic_write, deserialize_module_quantized, encode_segment, load_module, load_module_quantized,
-    read_segment_index, read_segment_payload, save_module, serialize_module,
-    serialize_module_quantized, SegmentEntry, SerializeError,
+    open_segment, read_segment_payload, save_module, serialize_module, serialize_module_quantized,
+    SegmentEntry, SerializeError,
 };
 use poe_models::wire::{WireBuf, WireRead};
 use poe_models::{build_mlp_head_with_depth, build_wrn_mlp_with_depth, WrnConfig};
 use poe_nn::layers::Sequential;
+use poe_nn::Module;
 use poe_tensor::Prng;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -203,37 +205,90 @@ fn decode_manifest(mut buf: &[u8]) -> Result<Manifest, SerializeError> {
     })
 }
 
-/// Rebuilds the module skeleton of one expert head exactly the way the
-/// preprocessing pipeline names and shapes it; the weights are then
-/// overwritten from the stored payload.
-fn build_head_skeleton(spec: &PoolSpec, hierarchy: &ClassHierarchy, task: usize) -> Sequential {
-    let classes = &hierarchy.primitive(task).classes;
-    let arch = WrnConfig {
-        ks: spec.expert_ks,
-        num_classes: classes.len(),
-        ..spec.student_arch
-    };
-    let mut rng = Prng::seed_from_u64(0); // weights are overwritten
-    build_mlp_head_with_depth(
-        &format!("expert{task}"),
-        &arch,
-        spec.library_groups,
-        classes.len(),
-        &mut rng,
-    )
-}
-
-/// Lazy expert backend over a POEM v4 segment file — the
-/// [`ExpertSource`] that [`load_standalone`] attaches to the pool.
-/// `load` seeks one payload out of the segment using the index read at
-/// open time; `reload` re-reads the on-disk index first, so a segment
-/// atomically replaced by a re-extraction is picked up (the hot-swap
-/// path).
-pub struct SegmentSource {
-    path: PathBuf,
+/// Expert-head skeletons for one pool spec: module structures named and
+/// shaped exactly the way the preprocessing pipeline builds each head,
+/// whose weights the stored payload then replaces. Building a head draws
+/// a Gaussian init for every weight, so each head width is built once,
+/// under a neutral name; every later skeleton clones that template (a
+/// refcount bump per tensor) and renames its parameters to the task.
+struct HeadSkeletons {
     spec: PoolSpec,
     hierarchy: ClassHierarchy,
-    index: Mutex<BTreeMap<usize, SegmentEntry>>,
+    /// One template per head width (number of classes), parameters named
+    /// `expert.…`.
+    templates: Mutex<BTreeMap<usize, Sequential>>,
+}
+
+impl HeadSkeletons {
+    const PREFIX: &'static str = "expert";
+
+    fn new(spec: PoolSpec, hierarchy: ClassHierarchy) -> Self {
+        HeadSkeletons {
+            spec,
+            hierarchy,
+            templates: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The skeleton of `task`'s head, parameters named `expert<task>.…`.
+    fn head(&self, task: usize) -> Sequential {
+        let width = self.hierarchy.primitive(task).classes.len();
+        let mut head = self
+            .templates
+            .lock()
+            .expect("no code panics while holding the skeleton templates")
+            .entry(width)
+            .or_insert_with(|| {
+                let arch = WrnConfig {
+                    ks: self.spec.expert_ks,
+                    num_classes: width,
+                    ..self.spec.student_arch
+                };
+                let mut rng = Prng::seed_from_u64(0); // weights are overwritten
+                build_mlp_head_with_depth(
+                    Self::PREFIX,
+                    &arch,
+                    self.spec.library_groups,
+                    width,
+                    &mut rng,
+                )
+            })
+            .clone();
+        let task = task.to_string();
+        head.visit_params(&mut |p| p.name.insert_str(Self::PREFIX.len(), &task));
+        head
+    }
+}
+
+/// An open segment file together with the index read from it. They are
+/// one snapshot: a payload is only ever read through the handle its
+/// index entry came from, so a store re-saved under a live reader can
+/// never pair old offsets with new bytes.
+struct Segment {
+    file: File,
+    index: BTreeMap<usize, SegmentEntry>,
+}
+
+impl Segment {
+    fn open(path: &Path) -> Result<Self, SerializeError> {
+        let (file, entries) = open_segment(path)?;
+        let index = entries.into_iter().map(|e| (e.task as usize, e)).collect();
+        Ok(Segment { file, index })
+    }
+}
+
+const SEGMENT_LOCK: &str = "no code panics while holding the segment snapshot";
+
+/// Lazy expert backend over a POEM v4 segment file — the
+/// [`ExpertSource`] that [`load_standalone`] attaches to the pool. The
+/// file stays open: `load` reads one payload with a positioned read
+/// through the handle opened at open time, so a store re-saved on disk
+/// keeps serving the file that was opened until `reload` re-opens the
+/// path and swaps file and index together (the hot-swap path).
+pub struct SegmentSource {
+    path: PathBuf,
+    skeletons: HeadSkeletons,
+    segment: Mutex<Arc<Segment>>,
 }
 
 impl SegmentSource {
@@ -244,28 +299,26 @@ impl SegmentSource {
         hierarchy: ClassHierarchy,
     ) -> Result<Self, SerializeError> {
         let path = path.into();
-        let index = Self::index_map(read_segment_index(&path)?);
+        let segment = Segment::open(&path)?;
         Ok(SegmentSource {
             path,
-            spec,
-            hierarchy,
-            index: Mutex::new(index),
+            skeletons: HeadSkeletons::new(spec, hierarchy),
+            segment: Mutex::new(Arc::new(segment)),
         })
     }
 
-    fn index_map(entries: Vec<SegmentEntry>) -> BTreeMap<usize, SegmentEntry> {
-        entries.into_iter().map(|e| (e.task as usize, e)).collect()
-    }
-
-    fn load_entry(&self, entry: SegmentEntry) -> Result<LoadedExpert, SerializeError> {
-        let task = entry.task as usize;
-        let payload = read_segment_payload(&self.path, &entry)?;
-        let mut head = build_head_skeleton(&self.spec, &self.hierarchy, task);
+    fn load_from(&self, segment: &Segment, task: usize) -> Result<LoadedExpert, SerializeError> {
+        let entry = segment
+            .index
+            .get(&task)
+            .ok_or_else(|| SerializeError::Format(format!("task {task} not in segment index")))?;
+        let payload = read_segment_payload(&segment.file, entry)?;
+        let mut head = self.skeletons.head(task);
         let quantized = deserialize_module_quantized(&mut head, &payload)?;
         Ok(LoadedExpert {
             expert: Expert {
                 task_index: task,
-                classes: self.hierarchy.primitive(task).classes.clone(),
+                classes: self.skeletons.hierarchy.primitive(task).classes.clone(),
                 head,
             },
             quantized,
@@ -273,21 +326,15 @@ impl SegmentSource {
         })
     }
 
-    fn entry(&self, task: usize) -> Result<SegmentEntry, SerializeError> {
-        self.index
-            .lock()
-            .unwrap()
-            .get(&task)
-            .copied()
-            .ok_or_else(|| SerializeError::Format(format!("task {task} not in segment index")))
+    fn current(&self) -> Arc<Segment> {
+        Arc::clone(&self.segment.lock().expect(SEGMENT_LOCK))
     }
 }
 
 impl ExpertSource for SegmentSource {
     fn catalog(&self) -> Vec<SourceEntry> {
-        self.index
-            .lock()
-            .unwrap()
+        self.current()
+            .index
             .values()
             .map(|e| SourceEntry {
                 task: e.task as usize,
@@ -298,16 +345,13 @@ impl ExpertSource for SegmentSource {
     }
 
     fn load(&self, task: usize) -> Result<LoadedExpert, SerializeError> {
-        self.load_entry(self.entry(task)?)
+        self.load_from(&self.current(), task)
     }
 
     fn reload(&self, task: usize) -> Result<LoadedExpert, SerializeError> {
-        let fresh = Self::index_map(read_segment_index(&self.path)?);
-        let entry = fresh.get(&task).copied();
-        *self.index.lock().unwrap() = fresh;
-        let entry = entry
-            .ok_or_else(|| SerializeError::Format(format!("task {task} not in segment index")))?;
-        self.load_entry(entry)
+        let fresh = Arc::new(Segment::open(&self.path)?);
+        *self.segment.lock().expect(SEGMENT_LOCK) = Arc::clone(&fresh);
+        self.load_from(&fresh, task)
     }
 }
 
@@ -386,9 +430,10 @@ pub fn load_standalone(dir: impl AsRef<Path>) -> Result<(ExpertPool, PoolSpec), 
     }
 
     // Legacy per-file layout: load everything eagerly, as before v4.
+    let skeletons = HeadSkeletons::new(m.spec.clone(), m.hierarchy.clone());
     for &t in &m.pooled {
         let classes = m.hierarchy.primitive(t).classes.clone();
-        let mut head = build_head_skeleton(&m.spec, &m.hierarchy, t);
+        let mut head = skeletons.head(t);
         // Version-3 expert files keep their int8 payload (the head stays
         // on placeholder weights, dequantized at assemble time); dense
         // v1/v2 files load as before and return no payload.
@@ -558,7 +603,7 @@ mod tests {
         // Flip a byte inside the *last* payload: the index stays valid.
         let seg = dir.join(SEGMENT_FILE);
         let mut bytes = std::fs::read(&seg).unwrap();
-        let index = read_segment_index(&seg).unwrap();
+        let (_, index) = open_segment(&seg).unwrap();
         let last = index.last().unwrap();
         let mid = last.offset as usize + last.len as usize / 2;
         bytes[mid] ^= 0x20;

@@ -41,8 +41,8 @@
 //! [`QuantizedModule`] for dequantize-on-assemble serving.
 //!
 //! Version 4 is the *segment* format: many expert payloads in one file
-//! behind an offset index, so a single expert loads with one seek instead
-//! of the whole catalog loading at startup:
+//! behind an offset index, so a single expert loads with one positioned
+//! read instead of the whole catalog loading at startup:
 //!
 //! ```text
 //! magic     b"POEM"
@@ -56,7 +56,7 @@
 //! ```
 //!
 //! The index checksum covers only the header+index prefix, so
-//! [`read_segment_index`] validates it without touching payload bytes;
+//! [`open_segment`] validates it without touching payload bytes;
 //! each payload is a self-checking v2/v3 stream, so per-expert corruption
 //! is detected at load time without failing the rest of the segment. The
 //! byte-level spec (with a worked hexdump) lives in `docs/FORMATS.md`.
@@ -69,7 +69,7 @@ use poe_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{Seek, Write};
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"POEM";
@@ -121,11 +121,14 @@ impl From<std::io::Error> for SerializeError {
     }
 }
 
-/// IEEE CRC32 (the zlib/PNG polynomial), table-driven, computed at
-/// compile time — the integrity check behind the v2 footer.
+/// IEEE CRC32 (the zlib/PNG polynomial), slicing-by-8 over tables
+/// computed at compile time — the integrity check behind the v2 footer.
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k]` advances
+/// a byte through `k` further zero bytes, so eight input bytes fold into
+/// the CRC with eight independent lookups.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+    const TABLES: [[u32; 256]; 8] = {
+        let mut tables = [[0u32; 256]; 8];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
@@ -138,14 +141,38 @@ pub fn crc32(bytes: &[u8]) -> u32 {
                 };
                 k += 1;
             }
-            table[i] = c;
+            tables[0][i] = c;
             i += 1;
         }
-        table
+        let mut t = 1;
+        while t < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = tables[t - 1][i];
+                tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+                i += 1;
+            }
+            t += 1;
+        }
+        tables
     };
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = bytes.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -316,9 +343,11 @@ fn deserialize_impl(
                     if buf.remaining() < 4 * numel {
                         return Err(SerializeError::Format("truncated tensor data".into()));
                     }
-                    for v in p.value.data_mut() {
-                        *v = buf.get_f32_le();
-                    }
+                    // Decode into a fresh buffer rather than through the
+                    // parameter's copy-on-write handle: a skeleton cloned
+                    // from a shared template is never copied just to be
+                    // overwritten.
+                    p.value = Tensor::from_vec(take_f32s(&mut buf, numel), dims);
                 }
                 DTYPE_INT8_ROWWISE => {
                     if rank != 2 {
@@ -330,16 +359,16 @@ fn deserialize_impl(
                     if buf.remaining() < 8 * rows + numel {
                         return Err(SerializeError::Format("truncated int8 tensor".into()));
                     }
-                    let scales: Vec<f32> = (0..rows).map(|_| buf.get_f32_le()).collect();
-                    let mins: Vec<f32> = (0..rows).map(|_| buf.get_f32_le()).collect();
-                    let mut raw = vec![0u8; numel];
-                    buf.copy_to_slice(&mut raw);
+                    let scales = take_f32s(&mut buf, rows);
+                    let mins = take_f32s(&mut buf, rows);
+                    let (raw, rest) = buf.split_at(numel);
+                    buf = rest;
                     let q = QuantizedMatrix::from_parts(
                         rows,
                         cols,
                         scales,
                         mins,
-                        raw.into_iter().map(|b| b as i8).collect(),
+                        raw.iter().map(|&b| b as i8).collect(),
                     );
                     match collect.as_deref_mut() {
                         Some(entries) => {
@@ -372,6 +401,16 @@ fn deserialize_impl(
         Some(e) => Err(e),
         None => Ok(version),
     }
+}
+
+/// Splits `n` little-endian `f32`s off the front of `buf` in one bulk
+/// pass. The caller has checked that `buf` holds `4 * n` bytes.
+fn take_f32s(buf: &mut &[u8], n: usize) -> Vec<f32> {
+    let (head, rest) = buf.split_at(4 * n);
+    *buf = rest;
+    head.chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
 }
 
 /// Writes `bytes` to `path` atomically: the content goes to a temp file
@@ -676,17 +715,21 @@ pub fn decode_segment_index(data: &[u8]) -> Result<Vec<SegmentEntry>, SerializeE
     Ok(entries)
 }
 
-/// Reads and validates the index of a v4 segment file, touching only the
-/// header + index bytes — the whole point of the format is that this is
-/// O(index), not O(catalog), so a 2000-expert pool opens in well under a
-/// millisecond of I/O.
-pub fn read_segment_index(path: impl AsRef<Path>) -> Result<Vec<SegmentEntry>, SerializeError> {
+/// Opens a v4 segment file and reads and validates its index, touching
+/// only the header + index bytes — the whole point of the format is that
+/// this is O(index), not O(catalog), so a 2000-expert pool opens in well
+/// under a millisecond of I/O. The index is read through the returned
+/// handle, so it describes exactly the file that handle reads payloads
+/// from, even if the path is atomically replaced afterwards.
+pub fn open_segment(
+    path: impl AsRef<Path>,
+) -> Result<(fs::File, Vec<SegmentEntry>), SerializeError> {
     if let Some(e) = poe_chaos::fail_io(poe_chaos::sites::STORE_READ_IO) {
         return Err(SerializeError::Io(e));
     }
-    let mut file = fs::File::open(path)?;
+    let file = fs::File::open(path)?;
     let mut head = [0u8; 12];
-    read_exact_or_corrupt(&mut file, &mut head, "truncated segment header")?;
+    read_exact_at_or_corrupt(&file, &mut head, 0, "truncated segment header")?;
     // Parse count from the fixed header without trusting it yet; the CRC
     // check in decode_segment_index covers everything read here.
     if &head[..4] != MAGIC {
@@ -696,40 +739,44 @@ pub fn read_segment_index(path: impl AsRef<Path>) -> Result<Vec<SegmentEntry>, S
     let rest = segment_header_bytes(count) as usize - 12;
     let mut prefix = head.to_vec();
     prefix.resize(12 + rest, 0);
-    read_exact_or_corrupt(&mut file, &mut prefix[12..], "truncated segment index")?;
-    decode_segment_index(&prefix)
+    read_exact_at_or_corrupt(&file, &mut prefix[12..], 12, "truncated segment index")?;
+    let index = decode_segment_index(&prefix)?;
+    Ok((file, index))
 }
 
-/// Reads one expert's payload out of a v4 segment file by seek, without
-/// touching any other payload. The returned bytes are a complete v1/v2/v3
-/// stream whose own checksum is verified when it is parsed.
+/// Reads one expert's payload out of an open v4 segment file with one
+/// positioned read, without touching any other payload or the file's
+/// cursor (concurrent readers share the handle). The returned bytes are
+/// a complete v1/v2/v3 stream whose own checksum is verified when it is
+/// parsed.
 pub fn read_segment_payload(
-    path: impl AsRef<Path>,
+    file: &fs::File,
     entry: &SegmentEntry,
 ) -> Result<Vec<u8>, SerializeError> {
     if let Some(e) = poe_chaos::fail_io(poe_chaos::sites::STORE_SEGMENT_READ_IO) {
         return Err(SerializeError::Io(e));
     }
-    let mut file = fs::File::open(path)?;
-    file.seek(std::io::SeekFrom::Start(entry.offset))?;
     let mut payload = vec![0u8; entry.len as usize];
-    read_exact_or_corrupt(
-        &mut file,
+    read_exact_at_or_corrupt(
+        file,
         &mut payload,
+        entry.offset,
         "segment payload extends past end of file",
     )?;
     Ok(payload)
 }
 
-/// `read_exact` that reports a short read as [`SerializeError::Corrupt`]
-/// (a truncated store file) instead of a generic i/o error.
-fn read_exact_or_corrupt(
-    file: &mut fs::File,
+/// Positioned `read_exact` that reports a short read as
+/// [`SerializeError::Corrupt`] (a truncated store file) instead of a
+/// generic i/o error.
+fn read_exact_at_or_corrupt(
+    file: &fs::File,
     buf: &mut [u8],
+    offset: u64,
     what: &str,
 ) -> Result<(), SerializeError> {
-    use std::io::Read;
-    match file.read_exact(buf) {
+    use std::os::unix::fs::FileExt;
+    match file.read_exact_at(buf, offset) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
             Err(SerializeError::Corrupt(what.into()))
@@ -762,6 +809,45 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// Deterministic, non-periodic test bytes for the CRC pins.
+    fn crc_input(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
+    }
+
+    /// Values recorded from the byte-at-a-time implementation, so the
+    /// slicing-by-8 loop must agree with it on every tail length (0..=17
+    /// covers empty, sub-block, one block, and block + every remainder)
+    /// and on a long buffer. Existing stores keep verifying.
+    #[test]
+    fn crc32_matches_pinned_byte_at_a_time_values() {
+        const PINNED: [u32; 18] = [
+            0x0000_0000,
+            0xd202_ef8d,
+            0x1d6a_78fb,
+            0x3611_4afe,
+            0x37e1_40ca,
+            0x9931_da8a,
+            0x9ef2_ce09,
+            0x0f91_618a,
+            0x0a00_5536,
+            0x7cd9_8592,
+            0xdca5_be3a,
+            0x96da_6740,
+            0xcef8_5488,
+            0xd47a_a2c6,
+            0x34b5_c92e,
+            0x0856_e294,
+            0x526f_dea4,
+            0xc13c_1805,
+        ];
+        for (len, &want) in PINNED.iter().enumerate() {
+            assert_eq!(crc32(&crc_input(len)), want, "length {len}");
+        }
+        assert_eq!(crc32(&crc_input(64 * 1024)), 0x186e_16a2);
     }
 
     #[test]
@@ -979,14 +1065,14 @@ mod tests {
         let path = dir.join("experts.poem");
         atomic_write(&path, &seg).unwrap();
 
-        let index = read_segment_index(&path).unwrap();
+        let (file, index) = open_segment(&path).unwrap();
         assert_eq!(index.len(), 2);
         assert_eq!((index[0].task, index[0].version), (0, 1));
         assert_eq!((index[1].task, index[1].version), (4, 3));
         assert_eq!(index[0].offset, segment_header_bytes(2));
 
-        // Dense payload loads back bit-identical via the seek path.
-        let bytes = read_segment_payload(&path, &index[0]).unwrap();
+        // Dense payload loads back bit-identical via a positioned read.
+        let bytes = read_segment_payload(&file, &index[0]).unwrap();
         let mut dst = net(32);
         assert!(deserialize_module_quantized(&mut dst, &bytes)
             .unwrap()
@@ -994,7 +1080,7 @@ mod tests {
         assert_eq!(snapshot_params(&dense), snapshot_params(&dst));
 
         // Quantized payload keeps its int8 content through the segment.
-        let bytes = read_segment_payload(&path, &index[1]).unwrap();
+        let bytes = read_segment_payload(&file, &index[1]).unwrap();
         let mut dst = net(33);
         let loaded = deserialize_module_quantized(&mut dst, &bytes)
             .unwrap()
@@ -1043,8 +1129,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("experts.poem");
         atomic_write(&path, &seg[..seg.len() - 5]).unwrap();
-        let index = read_segment_index(&path).unwrap();
-        let err = read_segment_payload(&path, &index[0]).unwrap_err();
+        let (file, index) = open_segment(&path).unwrap();
+        let err = read_segment_payload(&file, &index[0]).unwrap_err();
         assert!(matches!(err, SerializeError::Corrupt(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
