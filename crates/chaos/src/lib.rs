@@ -51,16 +51,15 @@ pub mod sites {
     pub const STORE_WRITE_PARTIAL: &str = "store.write.partial";
     /// I/O error while reading a model/store file.
     pub const STORE_READ_IO: &str = "store.read.io";
-    /// Panic injected where the server starts answering a request line
-    /// (on the event loop or a dispatch worker).
+    /// Panic injected just after a server records a request line's
+    /// `request.start` (on the event loop or a dispatch worker), so the
+    /// flight recorder pins the panic to that request.
     pub const SERVE_WORKER_PANIC: &str = "serve.worker.panic";
-    /// Panic injected into a batched forward pass (the flush path) — the
-    /// scheduler must contain it and abort only the affected batch.
-    pub const SERVE_BATCH_PANIC: &str = "serve.batch.panic";
-    /// Stall injected at the start of a micro-batch flush, before its
-    /// counters and its forward pass — a slow flush, behind which rows of
-    /// the same task set park and form the next batch.
-    pub const SERVE_BATCH_STALL: &str = "serve.batch.stall";
+    /// Stall injected where a dispatch worker picks up a request line,
+    /// before it starts answering it: a slow request that holds its
+    /// worker and stays in flight until it is answered. Lines the event
+    /// loop answers inline never reach it.
+    pub const SERVE_WORKER_STALL: &str = "serve.worker.stall";
     /// Panic injected into a matmul shard running on the compute pool —
     /// the dispatcher must recompute the lost shard inline instead of
     /// propagating the panic to the caller.

@@ -50,7 +50,6 @@ USAGE
             [--trace on|off] [--trace-out PATH] [--slow-query-ms N]
             [--metrics-every N] [--idle-timeout-ms N]
             [--max-conn-requests N] [--drain-deadline-ms N]
-            [--max-batch N]
             [--recorder-events N] [--recorder-dir DIR]
             [--resident-experts N]
       TCP model-query server (line protocol: INFO / QUERY t,… /
@@ -72,15 +71,9 @@ USAGE
       stderr every N seconds (0 = off). --idle-timeout-ms closes silent
       connections (default 30000, 0 = never), --max-conn-requests caps
       requests per connection (0 = no cap), --drain-deadline-ms bounds
-      the graceful-shutdown drain (default 5000). PREDICTs from
-      concurrent connections that name the same task set are coalesced
-      into one batched inference without waiting for company: a PREDICT
-      runs at once unless a batch of its task set is running, and the
-      PREDICTs that arrive meanwhile form the next batch when it ends.
-      --max-batch caps the batch (default 32; 1 runs every PREDICT
-      alone). The always-on flight recorder keeps the last
-      --recorder-events structured events (default 4096) and dumps them
-      as JSONL to --recorder-dir on
+      the graceful-shutdown drain (default 5000). The always-on flight
+      recorder keeps the last --recorder-events structured events
+      (default 4096) and dumps them as JSONL to --recorder-dir on
       SHUTDOWN, on a panic, and on the DUMP verb (read dumps with
       `poe obs`). With a v4 segment store (experts.poem) experts load
       lazily on first query; --resident-experts caps how many stay in
@@ -433,9 +426,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let drain_deadline_ms = a
         .get_parsed("drain-deadline-ms", 5_000u64, "u64")
         .map_err(|e| e.to_string())?;
-    let max_batch = a
-        .get_parsed("max-batch", serve::DEFAULT_MAX_BATCH, "usize")
-        .map_err(|e| e.to_string())?;
     let recorder_events = a
         .get_parsed("recorder-events", poe_obs::DEFAULT_RECORDER_EVENTS, "usize")
         .map_err(|e| e.to_string())?;
@@ -544,7 +534,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         .drain_deadline(std::time::Duration::from_millis(drain_deadline_ms))
         .pool_error(pool_error)
         .metrics_on_shutdown(true)
-        .max_batch(max_batch)
         .recorder_events(recorder_events)
         .recorder_dir(recorder_dir)
         .start(listener, std::sync::Arc::clone(&service), input_dim)

@@ -239,7 +239,8 @@ fn render_events(out: &mut String, events: &[FlightEvent]) {
 }
 
 /// `poe obs dump`: the whole file, optionally filtered by kind prefix
-/// (`--kind batch` matches `batch.flush` and `batch.abort`) and/or
+/// (`--kind request` matches `request.start`, `request.end` and
+/// `request.panic`) and/or
 /// request id (`--request 0` means "no filter").
 pub fn dump(path: &Path, kind: Option<&str>, request: u64) -> Result<String, String> {
     let (header, mut events) = load_dump(path)?;
@@ -295,7 +296,7 @@ mod tests {
         let rec = FlightRecorder::with_capacity(16);
         rec.record_for(1, "request.start", "verb=QUERY");
         rec.record_for(1, "request.end", "verb=QUERY ok=1 ms=0.120");
-        rec.record_for(2, "batch.flush", "cause=full size=2 tasks=0 ids=2,3");
+        rec.record_for(2, "request.panic", "verb=PREDICT");
         rec.record_for(0, "worker.panic", "conn=4 contained=1");
         rec.dump_to_dir(&dir).unwrap()
     }
@@ -315,12 +316,12 @@ mod tests {
     fn dump_filters_by_kind_and_request() {
         let path = write_dump("poe_obs_cmd_filter");
         let file = path.to_str().unwrap();
-        let by_kind = run_obs(&argv(&["dump", "--file", file, "--kind", "batch"])).unwrap();
-        assert!(by_kind.contains("1 event(s) shown"), "{by_kind}");
-        assert!(by_kind.contains("batch.flush"), "{by_kind}");
+        let by_kind = run_obs(&argv(&["dump", "--file", file, "--kind", "request"])).unwrap();
+        assert!(by_kind.contains("3 event(s) shown"), "{by_kind}");
+        assert!(!by_kind.contains("worker.panic"), "{by_kind}");
         let by_req = run_obs(&argv(&["dump", "--file", file, "--request", "1"])).unwrap();
         assert!(by_req.contains("2 event(s) shown"), "{by_req}");
-        assert!(!by_req.contains("batch.flush"), "{by_req}");
+        assert!(!by_req.contains("request.panic"), "{by_req}");
         std::fs::remove_file(path).ok();
     }
 

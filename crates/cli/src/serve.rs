@@ -11,28 +11,10 @@
 //! runbook.
 //!
 //! `PREDICT` consolidates the requested composite model (train-free — this
-//! is the paper's realtime query) and classifies one feature vector.
-//!
-//! ## Cross-connection micro-batching
-//!
-//! Under a running [`Server`], `PREDICT` batching is work-conserving: it
-//! batches only what is already waiting and never waits for company.
-//! Requests are grouped by their *sorted* task set, exactly like the
-//! consolidation cache. A `PREDICT` whose task set has no flush running
-//! is flushed at once, as a batch of itself. Rows that arrive while that
-//! flush runs park in the task set's queue; when the flush ends they
-//! become the next batch, so batch size rises with load, not with a
-//! timer. A queue that reaches [`ServeConfig::max_batch`] rows is flushed
-//! at once by the request that filled it. A flush runs **one** batched
-//! inference through the shared CoW-assembled model
-//! ([`poe_core::service::QueryService::predict_batch`]) and demultiplexes
-//! the per-row predictions back to the waiting connections, so concurrent
-//! clients asking for the same composite model amortize both the
-//! consolidation and the matmuls. A parked row's connection is in flight
-//! like any other, so a drain answers it through the flush that hands it
-//! on: no parked request is lost. Batching is invisible on the wire: same grammar, one response per
-//! request line, responses on each connection in request order. Every
-//! `ERR` line is a typed [`crate::wire::WireError`].
+//! is the paper's realtime query) and classifies one feature vector as a
+//! one-row [`poe_core::service::QueryService::predict_batch`] call: the
+//! same path with or without a running [`Server`]. Every `ERR` line is a
+//! typed [`crate::wire::WireError`].
 //!
 //! ## Fault-tolerance architecture
 //!
@@ -76,8 +58,7 @@
 //!
 //! Every layer of the server also feeds the always-on
 //! [`poe_obs::FlightRecorder`] black box: `request.start`/`request.end`
-//! (and `request.panic` when a handler dies mid-request), `batch.flush`
-//! with its cause, size, and the parked request ids, `batch.abort`, `shed`,
+//! (and `request.panic` when a handler dies mid-request), `shed`,
 //! `worker.panic`, and the server lifecycle (`server.start`, the loop's
 //! `net.drain`, `server.shutdown`). The ring is dumped to a timestamped
 //! JSONL file on `SHUTDOWN` (when [`ServeConfig::recorder_dir`] is set), on
@@ -85,19 +66,14 @@
 //! thousand events before a crash are always reconstructable.
 
 use crate::wire::{self, MetricsFormat, Request, WireError};
-use poe_core::pool::QueryError;
 use poe_core::service::QueryService;
-use poe_models::Prediction;
 use poe_net::{
     After, EventLoop, LoopConfig, LoopHandle, LoopReport, NetEvent, NetService, Refusal,
 };
 use poe_tensor::Tensor;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default number of dispatch worker threads.
@@ -111,9 +87,6 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 8 * 1024;
 // (tests, the router front tier) reached through this module.
 pub use crate::wire::{parse_tasks, MAX_QUERY_TASKS};
 
-/// Default cap on samples coalesced into one batched `PREDICT` inference.
-pub const DEFAULT_MAX_BATCH: usize = 32;
-
 /// Default concurrent-connection cap.
 pub const DEFAULT_MAX_CONNS: usize = 16 * 1024;
 
@@ -122,8 +95,7 @@ pub const DEFAULT_MAX_CONNS: usize = 16 * 1024;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Dispatch worker threads (min 1): they answer every line the event
-    /// loop does not answer inline. A `PREDICT` parked behind a running
-    /// flush of its task set holds its worker until that flush ends.
+    /// loop does not answer inline.
     pub workers: usize,
     /// Drain and stop once this many responses are written in full
     /// (`u64::MAX` = run forever); the event loop keeps the count.
@@ -154,11 +126,6 @@ pub struct ServeConfig {
     /// Print a final `METRICS <json>` line to stderr when the server
     /// shuts down (the lifecycle's metrics flush).
     pub metrics_on_shutdown: bool,
-    /// Micro-batching: the most rows one flush carries. A per-task-set
-    /// queue that fills to this many rows behind a running flush is
-    /// flushed at once. Values ≤ 1 mean 1: every `PREDICT` is its own
-    /// flush.
-    pub max_batch: usize,
     /// Flight-recorder ring capacity (events retained); applied to the
     /// service's recorder when the server starts.
     pub recorder_events: usize,
@@ -184,7 +151,6 @@ impl Default for ServeConfig {
             shed_rate_threshold: 0.5,
             pool_error: None,
             metrics_on_shutdown: false,
-            max_batch: DEFAULT_MAX_BATCH,
             recorder_events: poe_obs::DEFAULT_RECORDER_EVENTS,
             recorder_dir: None,
             max_conns: DEFAULT_MAX_CONNS,
@@ -276,13 +242,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Most rows per micro-batch flush (clamped to ≥ 1; 1 makes every
-    /// `PREDICT` its own flush).
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.cfg.max_batch = n.max(1);
-        self
-    }
-
     /// Flight-recorder ring capacity (events retained).
     pub fn recorder_events(mut self, n: usize) -> Self {
         self.cfg.recorder_events = n;
@@ -346,239 +305,6 @@ impl ServeMetrics {
     }
 }
 
-/// Instruments of the micro-batch scheduler, registered alongside the
-/// other `serve.*` metrics so `METRICS` exports them.
-struct BatchMetrics {
-    /// `serve.batch.size` — samples per flushed batch (count-valued
-    /// histogram; the `.size` suffix makes exporters render raw counts).
-    size: Arc<poe_obs::AtomicHistogram>,
-    /// `serve.batch.queue_depth` — samples currently parked across all
-    /// per-task-set queues.
-    queue_depth: Arc<poe_obs::Gauge>,
-    /// `serve.batch.flush.ready` — flushes that start because no flush of
-    /// their task set was running, or because the previous one ended.
-    flush_ready: Arc<poe_obs::Counter>,
-    /// `serve.batch.flush.full` — flushes triggered by a full queue.
-    flush_full: Arc<poe_obs::Counter>,
-    /// `serve.batch.aborted` — batches lost to a panic inside the batched
-    /// inference; their requests answer `ERR batch aborted`.
-    aborted: Arc<poe_obs::Counter>,
-}
-
-impl BatchMetrics {
-    fn register(service: &QueryService) -> Self {
-        let r = &service.obs().registry;
-        BatchMetrics {
-            size: r.histogram("serve.batch.size"),
-            queue_depth: r.gauge("serve.batch.queue_depth"),
-            flush_ready: r.counter("serve.batch.flush.ready"),
-            flush_full: r.counter("serve.batch.flush.full"),
-            aborted: r.counter("serve.batch.aborted"),
-        }
-    }
-}
-
-/// What a parked request's worker receives on its channel: its own
-/// answer, or the next batch of its task set to flush (its own row among
-/// them). Dropping the sender without sending wakes the worker with
-/// [`WireError::BatchAborted`].
-enum Handoff {
-    Answer(Result<Prediction, QueryError>),
-    Lead(Vec<Parked>),
-}
-
-/// One `PREDICT` row in the scheduler: its features and the single-use
-/// channel its answer (or a batch to lead) comes back on.
-struct Parked {
-    features: Vec<f32>,
-    tx: SyncSender<Handoff>,
-    /// The request's id, captured at submit time so flush events in the
-    /// flight recorder can name every row they answered (or lost).
-    request_id: u64,
-}
-
-/// The work-conserving cross-connection micro-batch scheduler.
-///
-/// Rows are grouped by *sorted* task set, mirroring the consolidation
-/// cache, so permutations of the same composite task share a batch. A
-/// task set has an entry in `queues` exactly while a flush of it runs;
-/// the entry holds the rows parked behind that flush.
-///
-/// * No entry: the row is flushed at once on its own worker, as a batch
-///   of itself (cause `ready`).
-/// * An entry: the row parks in it. A queue that reaches `max_batch` rows
-///   is flushed inline by the worker that filled it (cause `full`).
-/// * When a flush ends, the rows parked by then become the next batch
-///   (cause `ready`), handed to the worker of one of its own rows through
-///   that row's channel. The worker that just finished then returns its
-///   own answer at once, so no row waits behind a later flush and no
-///   connection starves under sustained load on a hot task set.
-///
-/// Every parked row sits behind a running flush that hands it on, so
-/// neither a timer nor a shutdown flush is needed.
-struct BatchScheduler {
-    service: Arc<QueryService>,
-    input_dim: usize,
-    max_batch: usize,
-    queues: Mutex<HashMap<Vec<usize>, Vec<Parked>>>,
-    metrics: BatchMetrics,
-}
-
-impl BatchScheduler {
-    fn new(service: Arc<QueryService>, input_dim: usize, max_batch: usize) -> Self {
-        let metrics = BatchMetrics::register(&service);
-        BatchScheduler {
-            service,
-            input_dim,
-            max_batch: max_batch.max(1),
-            queues: Mutex::new(HashMap::new()),
-            metrics,
-        }
-    }
-
-    fn lock_queues(&self) -> MutexGuard<'_, HashMap<Vec<usize>, Vec<Parked>>> {
-        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Runs one request through the scheduler and blocks until its row is
-    /// answered, returning this row's prediction (or the whole batch's
-    /// consolidation error).
-    fn submit(&self, mut tasks: Vec<usize>, features: Vec<f32>) -> Result<Prediction, WireError> {
-        tasks.sort_unstable(); // batch key = sorted task set, like the cache
-        let (tx, rx) = sync_channel(1);
-        let row = Parked {
-            features,
-            tx,
-            request_id: poe_obs::current_request_id(),
-        };
-        let mut batch = {
-            let mut queues = self.lock_queues();
-            match queues.get_mut(&tasks) {
-                None => {
-                    queues.insert(tasks.clone(), Vec::new());
-                    Some((vec![row], "ready"))
-                }
-                Some(parked) => {
-                    parked.push(row);
-                    let full = (parked.len() >= self.max_batch).then(|| std::mem::take(parked));
-                    self.metrics.queue_depth.set(depth_of(&queues) as f64);
-                    full.map(|rows| (rows, "full"))
-                }
-            }
-        };
-        loop {
-            if let Some((rows, cause)) = batch.take() {
-                // Our own row is in `rows`, so its answer is waiting in
-                // `rx` once the flush returns.
-                self.flush(&tasks, rows, cause);
-                self.hand_off(&tasks);
-            }
-            match rx.recv() {
-                Ok(Handoff::Answer(Ok(p))) => return Ok(p),
-                Ok(Handoff::Answer(Err(e))) => return Err(WireError::Query(e)),
-                Ok(Handoff::Lead(rows)) => batch = Some((rows, "ready")),
-                Err(_) => return Err(WireError::BatchAborted),
-            }
-        }
-    }
-
-    /// Ends a flush of `tasks`: the rows parked behind it become the next
-    /// batch, handed to the worker of its first row. With none parked the
-    /// task set goes idle, and its next row is flushed at once.
-    fn hand_off(&self, tasks: &[usize]) {
-        let next = {
-            let mut queues = self.lock_queues();
-            let next = match queues.get_mut(tasks) {
-                Some(parked) if !parked.is_empty() => std::mem::take(parked),
-                _ => {
-                    queues.remove(tasks);
-                    return;
-                }
-            };
-            self.metrics.queue_depth.set(depth_of(&queues) as f64);
-            next
-        };
-        // That worker waits in `recv` on an empty channel until one of
-        // its task set's flushes answers its row, so this send neither
-        // blocks nor fails.
-        let lead = next[0].tx.clone();
-        let _ = lead.send(Handoff::Lead(next));
-    }
-
-    /// Runs one batched inference and demultiplexes per-row results to
-    /// every parked connection. `cause` names what started the flush
-    /// (`ready` / `full`) and drives both the per-cause flush
-    /// counter and the `batch.flush` flight-recorder event. A panic inside
-    /// the model (a bug, or an injected chaos fault) is contained here:
-    /// the senders drop, every waiter answers `ERR batch aborted`, a
-    /// `batch.abort` event names the lost request ids, and the scheduler
-    /// lives on.
-    fn flush(&self, tasks: &[usize], rows: Vec<Parked>, cause: &'static str) {
-        poe_chaos::stall(poe_chaos::sites::SERVE_BATCH_STALL);
-        match cause {
-            "full" => self.metrics.flush_full.inc(),
-            _ => self.metrics.flush_ready.inc(),
-        }
-        self.metrics.size.record_n(rows.len() as u64);
-        let ids: Vec<u64> = rows.iter().map(|p| p.request_id).collect();
-        self.service.obs().flight.record_for(
-            ids.first().copied().unwrap_or(0),
-            "batch.flush",
-            format!(
-                "cause={cause} size={} tasks={} ids={}",
-                rows.len(),
-                join_usize(tasks),
-                join_u64(&ids)
-            ),
-        );
-        let mut data = Vec::with_capacity(rows.len() * self.input_dim);
-        for p in &rows {
-            data.extend_from_slice(&p.features);
-        }
-        let x = Tensor::from_vec(data, [rows.len(), self.input_dim]);
-        match catch_unwind(AssertUnwindSafe(|| {
-            poe_chaos::maybe_panic(poe_chaos::sites::SERVE_BATCH_PANIC);
-            self.service.predict_batch(tasks, &x)
-        })) {
-            Ok(Ok(preds)) => {
-                for (p, parked) in preds.into_iter().zip(rows) {
-                    let _ = parked.tx.send(Handoff::Answer(Ok(p)));
-                }
-            }
-            Ok(Err(e)) => {
-                for parked in rows {
-                    let _ = parked.tx.send(Handoff::Answer(Err(e.clone())));
-                }
-            }
-            Err(_) => {
-                self.metrics.aborted.inc();
-                self.service.obs().flight.record_for(
-                    ids.first().copied().unwrap_or(0),
-                    "batch.abort",
-                    format!(
-                        "cause=panic size={} tasks={} ids={}",
-                        ids.len(),
-                        join_usize(tasks),
-                        join_u64(&ids)
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Non-empty per-task-set queues and the rows parked across them —
-    /// the `HEALTH` verb's `batch_queues`/`batch_depth` fields.
-    fn queue_stats(&self) -> (usize, usize) {
-        let queues = self.lock_queues();
-        let non_empty = queues.values().filter(|rows| !rows.is_empty()).count();
-        (non_empty, depth_of(&queues))
-    }
-}
-
-fn depth_of(queues: &HashMap<Vec<usize>, Vec<Parked>>) -> usize {
-    queues.values().map(Vec::len).sum()
-}
-
 /// The server state every thread shares; it is also the event loop's
 /// line handler ([`NetService`]).
 struct ServerShared {
@@ -587,7 +313,6 @@ struct ServerShared {
     input_dim: usize,
     addr: SocketAddr,
     metrics: ServeMetrics,
-    batcher: BatchScheduler,
     net: LoopHandle,
 }
 
@@ -621,11 +346,12 @@ impl ServerShared {
 
 impl NetService for ServerShared {
     fn answer_inline(&self, line: &str) -> Option<(String, After)> {
-        self.answers_inline(line).then(|| self.handle(line))
+        self.answers_inline(line)
+            .then(|| respond_action(line, &self.service, self.input_dim, Some(self)))
     }
 
     fn handle(&self, line: &str) -> (String, After) {
-        poe_chaos::maybe_panic(poe_chaos::sites::SERVE_WORKER_PANIC);
+        poe_chaos::stall(poe_chaos::sites::SERVE_WORKER_STALL);
         respond_action(line, &self.service, self.input_dim, Some(self))
     }
 
@@ -686,12 +412,8 @@ impl Server {
         obs.flight.record_for(
             0,
             "server.start",
-            format!(
-                "addr={addr} workers={workers_n} max_batch={}",
-                cfg.max_batch
-            ),
+            format!("addr={addr} workers={workers_n}"),
         );
-        let batcher = BatchScheduler::new(Arc::clone(&service), input_dim, cfg.max_batch);
         let loop_cfg = LoopConfig {
             max_line_bytes: cfg.max_line_bytes,
             idle_timeout: cfg.idle_timeout,
@@ -709,7 +431,6 @@ impl Server {
             input_dim,
             addr,
             metrics,
-            batcher,
             net,
         })?;
         Ok(Server { shared, event_loop })
@@ -817,6 +538,11 @@ fn respond_action(
             request_id,
             verb: &verb,
         };
+        // Injected after the sentinel is armed, so an injected panic is
+        // pinned to this request; the library `respond` never injects.
+        if server.is_some() {
+            poe_chaos::maybe_panic(poe_chaos::sites::SERVE_WORKER_PANIC);
+        }
         respond_inner(trimmed, service, input_dim, server)
     });
     let elapsed = start.elapsed();
@@ -1000,33 +726,21 @@ fn respond_inner(
             Ok(version) => format!("OK swap task={task} version={version}"),
             Err(e) => WireError::from(e).line(),
         },
-        Request::Predict { tasks, features } => {
-            match wire::parse_features(&features, input_dim) {
-                Err(e) => e.line(),
-                Ok(features) => {
-                    // Under a running server, go through the micro-batch
-                    // scheduler; standalone, run as a batch of one.
-                    let result = match server {
-                        Some(s) => s.batcher.submit(tasks, features),
-                        None => direct_predict(service, &tasks, features, input_dim),
-                    };
-                    match result {
-                        Ok(p) => format!(
-                            "OK class={} task={} confidence={:.4}",
-                            p.class, p.task_index, p.confidence
-                        ),
-                        Err(e) => {
-                            let action = if e.closes_connection() {
-                                After::Close
-                            } else {
-                                After::Reply
-                            };
-                            return (e.line(), action);
-                        }
-                    }
+        Request::Predict { tasks, features } => match wire::parse_features(&features, input_dim) {
+            Err(e) => e.line(),
+            // One row through `predict_batch`, with or without a running
+            // server, so `service.batch.{calls,rows}` count every PREDICT.
+            Ok(features) => {
+                let x = Tensor::from_vec(features, [1, input_dim]);
+                match service.predict_batch(&tasks, &x) {
+                    Err(e) => WireError::from(e).line(),
+                    Ok(p) => format!(
+                        "OK class={} task={} confidence={:.4}",
+                        p[0].class, p[0].task_index, p[0].confidence
+                    ),
                 }
             }
-        }
+        },
     };
     (text, After::Reply)
 }
@@ -1040,28 +754,14 @@ fn column_tasks(model: &poe_models::BranchedModel) -> Vec<usize> {
         .collect()
 }
 
-/// The unbatched `PREDICT` path of the library `respond` without a
-/// server: consolidate through the shared cache and classify the one
-/// row.
-fn direct_predict(
-    service: &QueryService,
-    tasks: &[usize],
-    features: Vec<f32>,
-    input_dim: usize,
-) -> Result<Prediction, WireError> {
-    let r = service.query(tasks).map_err(WireError::from)?;
-    let x = Tensor::from_vec(features, [1, input_dim]);
-    Ok(r.model.predict_with_provenance(&x)[0])
-}
-
 /// Renders the `HEALTH` response: liveness is implicit in answering at
 /// all; readiness requires a loaded pool, live workers, no drain in
 /// progress, and a shed rate under the configured threshold. The tail
-/// fields surface queueing and recorder backpressure: `batch_queues` /
-/// `batch_depth` count non-empty per-task-set batch queues and the rows
-/// parked across them, and `recorder_dropped` is the flight recorder's
-/// evicted-event count (a large value means the ring is too small for the
-/// event rate — size up `--recorder-events`).
+/// fields surface recorder backpressure: `recorder_dropped` is the flight
+/// recorder's evicted-event count (a large value means the ring is too
+/// small for the event rate — size up `--recorder-events`).
+/// `batch_queues=0 batch_depth=0` are constants, kept so the line's field
+/// order stays what clients parse.
 fn health_line(service: &QueryService, server: Option<&ServerShared>) -> String {
     let recorder_dropped = service.obs().flight.dropped();
     let simd = poe_tensor::simd::level_name();
@@ -1079,14 +779,12 @@ fn health_line(service: &QueryService, server: Option<&ServerShared>) -> String 
     let draining = s.net.is_draining();
     let rate = s.shed_rate();
     let ready = pool_ok && !draining && alive > 0 && rate <= s.cfg.shed_rate_threshold;
-    let (batch_queues, batch_depth) = s.batcher.queue_stats();
     // `role=` rides at the tail (new fields append, never reorder — see
     // PROTOCOL.md): a `poe serve` process is always the shard role; the
     // router renders its own HEALTH with `role=router`.
     let mut line = format!(
         "OK live=1 ready={} pool={} workers={}/{} inflight={} shed_rate={:.3} draining={} \
-         batch_queues={batch_queues} batch_depth={batch_depth} \
-         recorder_dropped={recorder_dropped} simd={simd} role=shard",
+         batch_queues=0 batch_depth=0 recorder_dropped={recorder_dropped} simd={simd} role=shard",
         u8::from(ready),
         if pool_ok { "ok" } else { "error" },
         alive,
@@ -1206,13 +904,6 @@ fn join_usize(v: &[usize]) -> String {
         .join(",")
 }
 
-fn join_u64(v: &[u64]) -> String {
-    v.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// Comma-joined logits. Six significant decimals keeps the line compact
 /// while leaving softmax ordering at the router numerically intact.
 fn join_f32(v: &[f32]) -> String {
@@ -1282,34 +973,34 @@ mod tests {
         (server, svc, addr)
     }
 
-    /// How long a stalled flush sleeps: long enough for the rows a test
-    /// sends next to park behind it.
+    /// How long a stalled request sleeps on its worker: long enough for
+    /// a test to act while it is in flight.
     const STALL_MS: u64 = 1000;
 
-    /// Installs a chaos plan that stalls the first `flushes` batch flushes
-    /// for `ms` each. Every test that flushes through a server holds this
-    /// guard (`stall_flushes(0, 0)` stalls nothing): the plan and its
-    /// lock are process-wide, so the tests that flush run one at a time
-    /// and no test's flush takes a stall meant for another's.
-    fn stall_flushes(flushes: u64, ms: u64) -> ChaosGuard {
+    /// Installs a chaos plan that stalls the first `lines` lines dispatched
+    /// to a worker for `ms` each. Every test that starts a server holds
+    /// this guard (`stall_workers(0, 0)` stalls nothing): the plan and its
+    /// lock are process-wide, so those tests run one at a time and no
+    /// test's line takes a stall meant for another's.
+    fn stall_workers(lines: u64, ms: u64) -> ChaosGuard {
         ChaosPlan::new(0)
             .with(Fault::times(
-                sites::SERVE_BATCH_STALL,
+                sites::SERVE_WORKER_STALL,
                 FaultKind::StallMs(ms),
-                flushes,
+                lines,
             ))
             .install()
     }
 
-    /// Runs `leader` on a thread of its own and waits until the flush its
-    /// `PREDICT` started is stalled, so the rows sent next park behind it.
-    fn lead_stalled_flush<T: Send + 'static>(
-        leader: impl FnOnce() -> T + Send + 'static,
+    /// Runs `request` on a thread of its own and waits until the line it
+    /// sends is stalled on its worker, in flight.
+    fn stalled_request<T: Send + 'static>(
+        request: impl FnOnce() -> T + Send + 'static,
     ) -> JoinHandle<T> {
-        let before = poe_chaos::hits(sites::SERVE_BATCH_STALL);
-        let handle = std::thread::spawn(leader);
-        wait_until("the leading flush to stall", || {
-            poe_chaos::hits(sites::SERVE_BATCH_STALL) > before
+        let before = poe_chaos::hits(sites::SERVE_WORKER_STALL);
+        let handle = std::thread::spawn(request);
+        wait_until("the request to stall on its worker", || {
+            poe_chaos::hits(sites::SERVE_WORKER_STALL) > before
         });
         handle
     }
@@ -1323,17 +1014,6 @@ mod tests {
     /// [`ask_once`] on a thread of its own.
     fn send(addr: SocketAddr, req: String) -> JoinHandle<String> {
         std::thread::spawn(move || ask_once(addr, &req))
-    }
-
-    /// The ids in a `batch.flush` / `batch.abort` event's `ids=` field.
-    fn event_ids(e: &poe_obs::FlightEvent) -> Vec<u64> {
-        e.detail
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix("ids="))
-            .unwrap()
-            .split(',')
-            .map(|s| s.parse().unwrap())
-            .collect()
     }
 
     fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -1505,7 +1185,7 @@ mod tests {
 
     #[test]
     fn tcp_round_trip() {
-        let _serial = stall_flushes(0, 0);
+        let _serial = stall_workers(0, 0);
         let svc = toy_service();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1669,12 +1349,16 @@ mod tests {
 
     #[test]
     fn dump_verb_writes_a_parseable_flight_file() {
+        let _serial = stall_workers(0, 0);
         let dir = std::env::temp_dir().join("poe_dump_verb_test");
         std::fs::remove_dir_all(&dir).ok();
-        let (server, _svc, addr) = start(ServeConfig {
-            recorder_dir: Some(dir.clone()),
-            ..ServeConfig::default()
-        });
+        let (server, _svc, addr) = start_on(
+            toy_service_with_own_recorder(),
+            ServeConfig {
+                recorder_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            },
+        );
         let (mut w, mut r) = client(addr);
         assert!(ask(&mut w, &mut r, "QUERY 1").starts_with("OK outputs="));
         let d = ask(&mut w, &mut r, "DUMP");
@@ -1695,9 +1379,8 @@ mod tests {
         let events: Vec<poe_obs::FlightEvent> = lines
             .filter_map(poe_obs::FlightEvent::parse_jsonl)
             .collect();
-        // The ring is process-global, so other tests' events may be
-        // present too; this connection's QUERY must be there with
-        // matching start/end ids.
+        // The server's own ring holds only its events: this connection's
+        // QUERY must be there with matching start/end ids.
         let start_ev = events
             .iter()
             .rev()
@@ -1716,56 +1399,6 @@ mod tests {
         server.handle().shutdown();
         server.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Batch flushes leave `batch.flush` flight events whose ids match the
-    /// parked requests' `request.start` events.
-    #[test]
-    fn batch_flush_events_name_their_parked_request_ids() {
-        let _stall = stall_flushes(1, STALL_MS);
-        let (server, svc, addr) = start_on(
-            toy_service_with_own_recorder(),
-            ServeConfig {
-                workers: 4,
-                max_batch: 2,
-                ..ServeConfig::default()
-            },
-        );
-        let before = svc.obs().flight.recorded();
-        // Two rows park behind a stalled flush and fill the queue.
-        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 1 : 9 2 3 4"));
-        let handles: Vec<_> = (0..2)
-            .map(|i| send(addr, format!("PREDICT 1 : {i} 2 3 4")))
-            .collect();
-        for h in handles {
-            assert!(h.join().unwrap().starts_with("OK class="));
-        }
-        assert!(leader.join().unwrap().starts_with("OK class="));
-        let events: Vec<_> = svc
-            .obs()
-            .flight
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.seq > before)
-            .collect();
-        let flush = events
-            .iter()
-            .find(|e| e.kind == "batch.flush" && e.detail.contains("cause=full"))
-            .expect("full-queue batch.flush event");
-        assert!(flush.detail.contains("size=2"), "{flush:?}");
-        assert!(flush.detail.contains("tasks=1"), "{flush:?}");
-        let ids = event_ids(flush);
-        assert_eq!(ids.len(), 2, "{flush:?}");
-        for id in ids {
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.kind == "request.start" && e.request_id == id),
-                "flush id {id} must match a request.start"
-            );
-        }
-        server.handle().shutdown();
-        server.join().unwrap();
     }
 
     #[test]
@@ -1866,6 +1499,7 @@ mod tests {
     /// loop B's reads would time out.
     #[test]
     fn concurrent_clients_are_not_serialized() {
+        let _serial = stall_workers(0, 0);
         let svc = toy_service();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1905,6 +1539,7 @@ mod tests {
     /// listener is closed, so a late connect is refused.
     #[test]
     fn server_threads_are_joined_when_budget_is_spent() {
+        let _serial = stall_workers(0, 0);
         let svc = toy_service();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1925,6 +1560,7 @@ mod tests {
 
     #[test]
     fn oversized_request_lines_are_rejected_without_buffering() {
+        let _serial = stall_workers(0, 0);
         let (server, svc, addr) = start(ServeConfig {
             max_line_bytes: 64,
             ..ServeConfig::default()
@@ -1944,6 +1580,7 @@ mod tests {
 
     #[test]
     fn idle_connections_time_out() {
+        let _serial = stall_workers(0, 0);
         let (server, svc, addr) = start(ServeConfig {
             idle_timeout: Some(Duration::from_millis(50)),
             ..ServeConfig::default()
@@ -1961,6 +1598,7 @@ mod tests {
 
     #[test]
     fn per_connection_request_cap_closes_connection() {
+        let _serial = stall_workers(0, 0);
         let (server, _svc, addr) = start(ServeConfig {
             max_conn_requests: 2,
             ..ServeConfig::default()
@@ -1979,6 +1617,7 @@ mod tests {
 
     #[test]
     fn health_verb_reports_readiness() {
+        let _serial = stall_workers(0, 0);
         // Standalone (no server): trivially ready, and SHUTDOWN refuses.
         let svc = toy_service();
         let h = respond("HEALTH", &svc, 4);
@@ -2006,32 +1645,6 @@ mod tests {
         assert!(h.contains(" recorder_dropped="), "{h}");
         assert_eq!(ask(&mut w, &mut r, "QUIT"), "OK bye");
         server.handle().shutdown();
-        server.join().unwrap();
-    }
-
-    /// `HEALTH` sees rows parked in the batch queues while they wait for
-    /// their task set's running flush.
-    #[test]
-    fn health_reports_parked_batch_depth() {
-        let _stall = stall_flushes(1, STALL_MS);
-        let (server, svc, addr) = start(ServeConfig {
-            workers: 4,
-            max_batch: 8,
-            ..ServeConfig::default()
-        });
-        let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
-        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 0 : 9 1 2 3"));
-        let handles: Vec<_> = (0..2)
-            .map(|i| send(addr, format!("PREDICT 0 : {i} 1 2 3")))
-            .collect();
-        wait_until("2 requests parked", || depth.get() == 2.0);
-        let (mut w, mut r) = client(addr);
-        let h = ask(&mut w, &mut r, "HEALTH");
-        assert!(h.contains(" batch_queues=1 batch_depth=2 "), "{h}");
-        server.handle().shutdown();
-        for h in handles.into_iter().chain([leader]) {
-            assert!(h.join().unwrap().starts_with("OK class="));
-        }
         server.join().unwrap();
     }
 
@@ -2063,6 +1676,7 @@ mod tests {
     /// listener is released.
     #[test]
     fn shutdown_verb_drains_within_deadline() {
+        let _serial = stall_workers(0, 0);
         let deadline = Duration::from_millis(300);
         let (server, svc, addr) = start(ServeConfig {
             workers: 2,
@@ -2096,6 +1710,7 @@ mod tests {
     /// the force-close hammer.
     #[test]
     fn drain_refuses_idle_connections() {
+        let _serial = stall_workers(0, 0);
         let (server, _svc, addr) = start(ServeConfig {
             idle_timeout: None,
             ..ServeConfig::default()
@@ -2131,6 +1746,7 @@ mod tests {
     /// is closed.
     #[test]
     fn sheds_past_the_connection_cap() {
+        let _serial = stall_workers(0, 0);
         let (server, svc, addr) = start(ServeConfig {
             max_conns: 2,
             ..ServeConfig::default()
@@ -2159,30 +1775,28 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// The inline rule: while a stalled `PREDICT` flush holds the only
-    /// worker, a `QUERY` for a cached task set is still answered (on the
-    /// loop thread), and one for an uncached set waits for the worker.
+    /// The inline rule: while a stalled `PREDICT` holds the only worker, a
+    /// `QUERY` for a cached task set is still answered (on the loop
+    /// thread), and one for an uncached set waits for the worker.
     #[test]
     fn cached_query_is_answered_while_the_only_worker_is_busy() {
-        let _stall = stall_flushes(1, STALL_MS);
+        let _stall = stall_workers(1, STALL_MS);
         let (server, svc, addr) = start(ServeConfig {
             workers: 1,
-            max_batch: 8,
             ..ServeConfig::default()
         });
-        let reg = &svc.obs().registry;
-        // The stall comes before the flush counts itself.
-        let flushed = reg.counter("serve.batch.flush.ready");
+        // The stall comes before the PREDICT counts its one-row batch.
+        let predicted = svc.obs().registry.counter("service.batch.calls");
+        assert!(!svc.query(&[0, 1]).unwrap().stats.cache_hit);
+        // The stalled PREDICT holds the sole worker.
+        let stalled = stalled_request(move || ask_once(addr, "PREDICT 2 : 1 2 3 4"));
         let (mut w, mut r) = client(addr);
-        assert!(ask(&mut w, &mut r, "QUERY 0,1").contains(" cached=0 "));
-        // Its stalled flush holds the sole worker.
-        let stalled = lead_stalled_flush(move || ask_once(addr, "PREDICT 2 : 1 2 3 4"));
         let hit = ask(&mut w, &mut r, "QUERY 1,0");
         assert!(hit.contains(" cached=1 "), "{hit}");
-        assert_eq!(flushed.get(), 0, "the cached QUERY waited for the worker");
+        assert_eq!(predicted.get(), 0, "the cached QUERY waited for the worker");
         let miss = ask(&mut w, &mut r, "QUERY 1");
         assert!(miss.contains(" cached=0 "), "{miss}");
-        assert_eq!(flushed.get(), 1, "the uncached QUERY skipped the queue");
+        assert_eq!(predicted.get(), 1, "the uncached QUERY skipped the queue");
         assert!(stalled.join().unwrap().starts_with("OK class="));
         server.handle().shutdown();
         server.join().unwrap();
@@ -2202,28 +1816,14 @@ mod tests {
         )
     }
 
-    /// Asserts that each wire answer equals the unbatched library path's
-    /// answer for its own request, against the same deterministic service.
-    fn assert_matches_direct_path(svc: &QueryService, requests: &[String], answers: &[String]) {
-        for (req, got) in requests.iter().zip(answers) {
-            let want = respond(req, svc, 4);
-            assert!(got.starts_with("OK class="), "{got}");
-            let (gc, gt, gp) = parse_prediction(got);
-            let (wc, wt, wp) = parse_prediction(&want);
-            assert_eq!((gc, gt), (wc, wt), "req {req}: {got} vs {want}");
-            assert!((gp - wp).abs() <= 1e-4, "req {req}: {got} vs {want}");
-        }
-    }
-
-    /// Rows for permutations of one task set, parked behind a running
-    /// flush, coalesce into a single full-queue flush, and every
-    /// demultiplexed per-row answer matches the unbatched path.
+    /// Concurrent `PREDICT`s over permutations of one task set each run as
+    /// a one-row batch, and every wire answer equals the library
+    /// `respond` answer for its own request.
     #[test]
-    fn batched_predictions_match_the_direct_path() {
-        let _stall = stall_flushes(1, STALL_MS);
+    fn concurrent_predictions_match_the_direct_path() {
+        let _serial = stall_workers(0, 0);
         let (server, svc, addr) = start(ServeConfig {
-            workers: 6,
-            max_batch: 4,
+            workers: 4,
             ..ServeConfig::default()
         });
         let requests: Vec<String> = (0..5)
@@ -2233,193 +1833,46 @@ mod tests {
                 format!("PREDICT {tasks} : {} {} {} {}", f, 0.5 - f, -f, 0.25 * f)
             })
             .collect();
-        let lead = requests[0].clone();
-        let leader = lead_stalled_flush(move || ask_once(addr, &lead));
-        let handles: Vec<_> = requests[1..]
+        let answers: Vec<String> = requests
             .iter()
             .map(|req| send(addr, req.clone()))
-            .collect();
-        let answers: Vec<String> = std::iter::once(leader)
-            .chain(handles)
+            .collect::<Vec<_>>()
+            .into_iter()
             .map(|h| h.join().unwrap())
             .collect();
         let reg = &svc.obs().registry;
-        // The leader's own flush, then the four parked rows as one.
-        assert_eq!(reg.counter("serve.batch.flush.full").get(), 1);
-        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 1);
-        let sizes = reg.histogram("serve.batch.size").snapshot();
-        assert_eq!(sizes.count(), 2, "exactly two flushes");
-        assert_eq!(sizes.sum_n(), 5);
-        // A count reads back as the largest count of its bucket: [4, 8).
-        assert_eq!(sizes.quantile_n(1.0), Some(7), "batch of 4");
-        // The service-level batch accounting fired once per flush too.
-        assert_eq!(reg.counter("service.batch.calls").get(), 2);
+        assert_eq!(reg.counter("service.batch.calls").get(), 5);
         assert_eq!(reg.counter("service.batch.rows").get(), 5);
-        // Reference: the library `respond` path (no server, no batching).
-        assert_matches_direct_path(&svc, &requests, &answers);
+        for (req, got) in requests.iter().zip(&answers) {
+            let want = respond(req, &svc, 4);
+            assert!(got.starts_with("OK class="), "{got}");
+            let (gc, gt, gp) = parse_prediction(got);
+            let (wc, wt, wp) = parse_prediction(&want);
+            assert_eq!((gc, gt), (wc, wt), "req {req}: {got} vs {want}");
+            assert!((gp - wp).abs() <= 1e-4, "req {req}: {got} vs {want}");
+        }
         server.handle().shutdown();
         server.join().unwrap();
     }
 
-    /// Rows that arrive while their task set's flush runs park, and when
-    /// that flush ends they form exactly one next batch, each row getting
-    /// its own row's answer.
+    /// A consolidation error answers every concurrent `PREDICT` with the
+    /// typed reason, and each connection stays usable.
     #[test]
-    fn rows_parked_behind_a_flush_form_the_next_batch() {
-        let _stall = stall_flushes(1, STALL_MS);
-        let (server, svc, addr) = start_on(
-            toy_service_with_own_recorder(),
-            ServeConfig {
-                workers: 5,
-                max_batch: 8,
-                ..ServeConfig::default()
-            },
-        );
-        let before = svc.obs().flight.recorded();
-        let requests: Vec<String> = (0..4)
-            .map(|i| {
-                let tasks = if i % 2 == 0 { "0,2" } else { "2,0" };
-                let f = i as f32;
-                format!("PREDICT {tasks} : {} {} {} {}", -f, 1.0 - f, 0.5 * f, f)
+    fn predict_errors_keep_the_connection_open() {
+        let _serial = stall_workers(0, 0);
+        let (server, _svc, addr) = start(ServeConfig::default());
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let (mut w, mut r) = client(addr);
+                    let e = ask(&mut w, &mut r, "PREDICT 9 : 1 2 3 4");
+                    // Same connection still answers afterwards.
+                    let h = ask(&mut w, &mut r, "HEALTH");
+                    (e, h)
+                })
             })
             .collect();
-        let lead = requests[0].clone();
-        let leader = lead_stalled_flush(move || ask_once(addr, &lead));
-        let handles: Vec<_> = requests[1..]
-            .iter()
-            .map(|req| send(addr, req.clone()))
-            .collect();
-        let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
-        wait_until("3 rows parked", || depth.get() == 3.0);
-        let answers: Vec<String> = std::iter::once(leader)
-            .chain(handles)
-            .map(|h| h.join().unwrap())
-            .collect();
-        let reg = &svc.obs().registry;
-        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
-        assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
-        assert_eq!(reg.counter("service.batch.calls").get(), 2);
-        assert_eq!(reg.counter("service.batch.rows").get(), 4);
-        assert_eq!(depth.get(), 0.0);
-        let flushes: Vec<_> = svc
-            .obs()
-            .flight
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.seq > before && e.kind == "batch.flush")
-            .collect();
-        assert_eq!(flushes.len(), 2, "{flushes:?}");
-        assert!(flushes[0].detail.contains("size=1"), "{flushes:?}");
-        assert!(
-            flushes[1]
-                .detail
-                .starts_with("cause=ready size=3 tasks=0,2 "),
-            "{flushes:?}"
-        );
-        // The next batch is exactly the three parked rows.
-        let mut parked = event_ids(&flushes[1]);
-        parked.sort_unstable();
-        let mut predicts: Vec<u64> = svc
-            .obs()
-            .flight
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.seq > before && e.kind == "request.start" && e.detail == "verb=PREDICT")
-            .map(|e| e.request_id)
-            .filter(|id| !event_ids(&flushes[0]).contains(id))
-            .collect();
-        predicts.sort_unstable();
-        assert_eq!(parked, predicts);
-        assert_matches_direct_path(&svc, &requests, &answers);
-        server.handle().shutdown();
-        server.join().unwrap();
-    }
-
-    /// The worker that led a flush returns its own answer as soon as that
-    /// flush ends: the next batch runs on a parked row's worker, so the
-    /// leader never waits behind a later flush, and no connection starves
-    /// under sustained load on one task set.
-    #[test]
-    fn flush_leader_answers_before_the_next_flush_ends() {
-        // The first flush stalls so rows park behind it; the second one
-        // stalls so it is still running when the leader answers.
-        let _stall = stall_flushes(2, STALL_MS);
-        let (server, svc, addr) = start(ServeConfig {
-            workers: 4,
-            max_batch: 8,
-            ..ServeConfig::default()
-        });
-        let reg = &svc.obs().registry;
-        let calls = reg.counter("service.batch.calls");
-        let depth = reg.gauge("serve.batch.queue_depth");
-        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 1 : 1 2 3 4"));
-        let parked: Vec<_> = (0..2)
-            .map(|i| send(addr, format!("PREDICT 1 : {i} 0 0 1")))
-            .collect();
-        wait_until("2 rows parked", || depth.get() == 2.0);
-        assert!(leader.join().unwrap().starts_with("OK class="));
-        assert_eq!(calls.get(), 1, "the leader waited for the next flush");
-        assert!(
-            parked.iter().all(|h| !h.is_finished()),
-            "the next flush ended before the leader answered"
-        );
-        for h in parked {
-            assert!(h.join().unwrap().starts_with("OK class="));
-        }
-        assert_eq!(calls.get(), 2);
-        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
-        assert_eq!(reg.histogram("serve.batch.size").snapshot().sum_n(), 3);
-        server.handle().shutdown();
-        server.join().unwrap();
-    }
-
-    /// A lone PREDICT is flushed at once, as a batch of itself: it never
-    /// parks, whatever `--max-batch` is.
-    #[test]
-    fn lone_predict_runs_without_parking() {
-        let _serial = stall_flushes(0, 0);
-        let (server, svc, addr) = start(ServeConfig {
-            max_batch: 64,
-            ..ServeConfig::default()
-        });
-        let (mut w, mut r) = client(addr);
-        let got = ask(&mut w, &mut r, "PREDICT 1 : 1 2 3 4");
-        assert!(got.starts_with("OK class="), "{got}");
-        let reg = &svc.obs().registry;
-        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 1);
-        assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
-        let sizes = reg.histogram("serve.batch.size").snapshot();
-        // One flush, which the row led: a parked row would have needed a
-        // second flush to answer it.
-        assert_eq!(sizes.count(), 1);
-        assert_eq!(sizes.quantile_n(0.5), Some(1), "batch of 1");
-        assert_eq!(reg.gauge("serve.batch.queue_depth").get(), 0.0);
-        server.handle().shutdown();
-        server.join().unwrap();
-    }
-
-    /// A consolidation error fails every request parked in the batch with
-    /// the same typed reason the unbatched path gives, and the connection
-    /// stays usable.
-    #[test]
-    fn batched_query_errors_reach_every_parked_request() {
-        let _stall = stall_flushes(1, STALL_MS);
-        let (server, _svc, addr) = start(ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        });
-        let predict_then_health = move || {
-            let (mut w, mut r) = client(addr);
-            let e = ask(&mut w, &mut r, "PREDICT 9 : 1 2 3 4");
-            // Same connection still answers afterwards.
-            let h = ask(&mut w, &mut r, "HEALTH");
-            (e, h)
-        };
-        let leader = lead_stalled_flush(predict_then_health);
-        let handles: Vec<_> = (0..2)
-            .map(|_| std::thread::spawn(predict_then_health))
-            .collect();
-        for h in handles.into_iter().chain([leader]) {
+        for h in handles {
             let (e, health) = h.join().unwrap();
             assert_eq!(e, "ERR unknown primitive task 9");
             assert!(health.starts_with("OK live=1"), "{health}");
@@ -2428,74 +1881,38 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// SHUTDOWN drains a half-full batch queue: every parked PREDICT is
-    /// answered exactly once, by the flush its running leader hands on,
-    /// before the connections close.
+    /// SHUTDOWN drains stalled, in-flight `PREDICT`s: each is answered
+    /// exactly once before its connection closes.
     #[test]
-    fn shutdown_drains_parked_batches() {
-        let _stall = stall_flushes(1, STALL_MS);
+    fn shutdown_drains_stalled_predicts() {
+        let _stall = stall_workers(4, STALL_MS);
         let (server, svc, addr) = start(ServeConfig {
-            workers: 5,   // the leader, three parked rows and SHUTDOWN
-            max_batch: 8, // stays half-full
+            workers: 5, // four stalled PREDICTs and SHUTDOWN
             ..ServeConfig::default()
         });
-        let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
-        let leader = lead_stalled_flush(move || ask_once(addr, "PREDICT 0 : 9 1 2 3"));
-        let handles: Vec<_> = (0..3)
+        let before = poe_chaos::hits(sites::SERVE_WORKER_STALL);
+        let handles: Vec<_> = (0..4)
             .map(|i| send(addr, format!("PREDICT 0 : {i} 1 2 3")))
             .collect();
-        wait_until("3 requests parked", || depth.get() == 3.0);
+        wait_until("4 requests stalled in flight", || {
+            poe_chaos::hits(sites::SERVE_WORKER_STALL) == before + 4
+        });
         let (mut w, mut r) = client(addr);
         assert_eq!(ask(&mut w, &mut r, "SHUTDOWN"), "OK shutting down");
-        for h in handles.into_iter().chain([leader]) {
+        for h in handles {
             let line = h.join().unwrap();
-            assert!(line.starts_with("OK class="), "parked request lost: {line}");
+            assert!(
+                line.starts_with("OK class="),
+                "stalled request lost: {line}"
+            );
         }
         server.join().unwrap();
-        let reg = &svc.obs().registry;
-        assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
-        assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
-        let sizes = reg.histogram("serve.batch.size").snapshot();
-        assert_eq!(sizes.count(), 2, "the leader's flush and the parked rows'");
-        assert_eq!(sizes.sum_n(), 4);
-        assert_eq!(sizes.quantile_n(1.0), Some(3), "one batch of 3");
-        assert_eq!(depth.get(), 0.0);
-    }
-
-    /// With `max_batch: 1` every row is its own flush: rows parked behind
-    /// a running flush each fill their queue and run alone, and every
-    /// answer matches the unbatched path.
-    #[test]
-    fn max_batch_one_runs_every_row_as_its_own_flush() {
-        let _stall = stall_flushes(1, STALL_MS);
-        let (server, svc, addr) = start(ServeConfig {
-            max_batch: 1,
-            ..ServeConfig::default()
-        });
-        let requests: Vec<String> = (0..3).map(|i| format!("PREDICT 1 : {i} 2 3 4")).collect();
-        let lead = requests[0].clone();
-        let leader = lead_stalled_flush(move || ask_once(addr, &lead));
-        let handles: Vec<_> = requests[1..]
-            .iter()
-            .map(|req| send(addr, req.clone()))
-            .collect();
-        let answers: Vec<String> = std::iter::once(leader)
-            .chain(handles)
-            .map(|h| h.join().unwrap())
-            .collect();
-        let reg = &svc.obs().registry;
-        let sizes = reg.histogram("serve.batch.size").snapshot();
-        assert_eq!(sizes.count(), 3);
-        assert_eq!(sizes.sum_n(), 3, "one row per flush");
-        assert_eq!(reg.counter("service.batch.calls").get(), 3);
-        assert_eq!(reg.counter("service.batch.rows").get(), 3);
-        assert_matches_direct_path(&svc, &requests, &answers);
-        server.handle().shutdown();
-        server.join().unwrap();
+        assert_eq!(svc.obs().registry.counter("service.batch.rows").get(), 4);
     }
 
     #[test]
     fn degraded_server_reports_not_ready_and_refuses_data_verbs() {
+        let _serial = stall_workers(0, 0);
         let (server, _svc, addr) = start(ServeConfig {
             pool_error: Some("corrupt model file: checksum mismatch".into()),
             ..ServeConfig::default()

@@ -93,9 +93,6 @@ pub enum WireError {
         /// Suggested client backoff in milliseconds.
         retry_after_ms: u64,
     },
-    /// The micro-batch this request was parked in was lost to an internal
-    /// failure; the request was *not* answered and may be retried.
-    BatchAborted,
     /// Router only: a required shard (or, for `PREDICT`, every shard)
     /// failed past the retry budget. Non-closing — the client may retry
     /// on the same connection once the shard recovers.
@@ -144,7 +141,6 @@ impl WireError {
                 | WireError::IdleTimeout
                 | WireError::ConnRequestLimit
                 | WireError::ShuttingDown { .. }
-                | WireError::BatchAborted
         )
     }
 }
@@ -188,7 +184,6 @@ impl fmt::Display for WireError {
             WireError::ShuttingDown { retry_after_ms } => {
                 write!(f, "shutting down retry_after_ms={retry_after_ms}")
             }
-            WireError::BatchAborted => write!(f, "batch aborted"),
             WireError::ShardUnavailable { shard, detail } => {
                 write!(f, "shard {shard} unavailable: {detail}")
             }
@@ -699,11 +694,6 @@ mod tests {
                 "`ERR shutting down retry_after_ms=<n>`",
             ),
             (
-                WireError::BatchAborted,
-                "ERR batch aborted",
-                "`ERR batch aborted`",
-            ),
-            (
                 WireError::ShardUnavailable {
                     shard: 2,
                     detail: "<detail>".into(),
@@ -742,7 +732,7 @@ mod tests {
             .map(|(e, _, _)| e)
             .filter(WireError::closes_connection)
             .collect();
-        assert_eq!(closing.len(), 6, "{closing:?}");
+        assert_eq!(closing.len(), 5, "{closing:?}");
         assert!(!WireError::EmptyRequest.closes_connection());
         assert!(!WireError::Query(QueryError::EmptyQuery).closes_connection());
     }

@@ -399,8 +399,8 @@ impl QueryService {
     }
 
     /// Classifies a whole batch of feature rows against the task set `Q`
-    /// with **one** consolidation and one forward pass per chunk — the
-    /// entry point behind the serve layer's micro-batching scheduler.
+    /// with **one** consolidation and one forward pass per chunk. The
+    /// serve layer answers every `PREDICT` through it as a one-row batch.
     ///
     /// The consolidation goes through [`QueryService::query`], so it
     /// shares the consolidation cache (and its hit/miss accounting) with

@@ -241,8 +241,7 @@ impl Plan {
                         };
                         let tasks = catalog[rank][..width.max(1)].to_vec();
                         // ~1 in 8 requests is a bare QUERY (consolidation
-                        // without inference); the rest exercise PREDICT
-                        // and with it the micro-batcher.
+                        // without inference); the rest exercise PREDICT.
                         let verb = if rng.below(8) == 0 {
                             Verb::Query
                         } else {

@@ -536,7 +536,7 @@ mod tests {
         r.gauge("service.cache.entries").set(3.0);
         r.histogram("service.assembly_secs").record(2e-3);
         r.histogram("service.assembly_secs").record(17e-6);
-        r.histogram("serve.batch.size").record_n(32);
+        r.histogram("service.batch.size").record_n(32);
         r.histogram("empty_hist"); // registered, never recorded
         r.snapshot()
     }
@@ -562,10 +562,10 @@ mod tests {
         assert!(text.contains("poe_service_assembly_secs_bucket{le=\"+Inf\"} 2\n"));
         // Size-valued histograms expose raw-count bounds and sums.
         assert!(
-            text.contains("poe_serve_batch_size_bucket{le=\"64\"}"),
+            text.contains("poe_service_batch_size_bucket{le=\"64\"}"),
             "{text}"
         );
-        assert!(text.contains("poe_serve_batch_size_sum 32\n"), "{text}");
+        assert!(text.contains("poe_service_batch_size_sum 32\n"), "{text}");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct FlightEvent {
     /// come from the process-wide [`crate::next_request_id`] atomic, so
     /// they never alias across worker threads and match trace events.
     pub request_id: u64,
-    /// Event kind, dotted lowercase (`request.start`, `batch.flush`,
+    /// Event kind, dotted lowercase (`request.start`, `request.panic`,
     /// `worker.panic`, `chaos.inject`, ...).
     pub kind: String,
     /// Free-form `key=value` detail (cause, sizes, verb, task set).
@@ -320,8 +320,8 @@ mod tests {
             seq: 42,
             at_secs: 1.5,
             request_id: 7,
-            kind: "batch.flush".into(),
-            detail: "cause=full size=32 tasks=\"0,1\"".into(),
+            kind: "request.end".into(),
+            detail: "verb=QUERY ok=1 tasks=\"0,1\"".into(),
         };
         let line = ev.to_jsonl();
         assert_eq!(FlightEvent::parse_jsonl(&line).unwrap(), ev);

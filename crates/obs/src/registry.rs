@@ -340,16 +340,16 @@ mod tests {
     #[test]
     fn size_histograms_render_raw_counts() {
         let r = Registry::new();
-        r.histogram("serve.batch.size").record_n(32);
-        r.histogram("serve.batch.empty.size"); // registered, never recorded
+        r.histogram("service.batch.size").record_n(32);
+        r.histogram("service.batch.empty.size"); // registered, never recorded
         let json = r.snapshot().to_json();
         assert!(
-            json.contains("\"serve.batch.size\":{\"count\":1,\"p50\":63,\"p95\":63,\"p99\":63}"),
+            json.contains("\"service.batch.size\":{\"count\":1,\"p50\":63,\"p95\":63,\"p99\":63}"),
             "{json}"
         );
         assert!(
             json.contains(
-                "\"serve.batch.empty.size\":{\"count\":0,\"p50\":null,\"p95\":null,\"p99\":null}"
+                "\"service.batch.empty.size\":{\"count\":0,\"p50\":null,\"p95\":null,\"p99\":null}"
             ),
             "{json}"
         );

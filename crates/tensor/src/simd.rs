@@ -51,7 +51,7 @@
 //! registers, never the sequence above. So an output's bits cannot
 //! depend on its row's position in the batch, the batch size, or the
 //! row shard that computed it: a row served alone equals the same row
-//! inside a micro-batch, and a router's per-shard answer equals the fat
+//! inside a batch, and a router's per-shard answer equals the fat
 //! server's. `tests/simd_differential.rs` pins the AVX2 bits on shapes
 //! that reach every tile edge.
 

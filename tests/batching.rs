@@ -1,15 +1,14 @@
-//! Batched-vs-unbatched equivalence for the micro-batching scheduler.
+//! Batched-vs-unbatched equivalence for `PREDICT`.
 //!
 //! Two layers of the same invariant:
 //!
 //! * **Service level** — `QueryService::predict_batch` over random pools
 //!   and mixed task sets must reproduce the single-row path to ≤1e-5 in
 //!   confidence, with identical class/task picks.
-//! * **Wire level** — a real [`poe_cli::serve::Server`] coalescing a dozen
+//! * **Wire level** — a real [`poe_cli::serve::Server`] answering a dozen
 //!   concurrent `PREDICT`s (including permuted task lists) must answer
-//!   each connection exactly what the unbatched library path answers.
+//!   each connection exactly what the library `respond` path answers.
 
-use poe_chaos::{sites, ChaosPlan, Fault, FaultKind};
 use poe_cli::serve::{respond, ServeConfig, Server};
 use poe_core::pool::{Expert, ExpertPool};
 use poe_core::service::QueryService;
@@ -131,20 +130,11 @@ fn parse_prediction(line: &str) -> (usize, usize, f32) {
 }
 
 /// A dozen concurrent clients spread over three task sets (with permuted
-/// spellings) against a batching server: every connection's answer equals
-/// the unbatched library path's answer for its own request, and all rows
-/// flowed through the batch scheduler.
+/// spellings) against a server: every connection's answer equals the
+/// library path's answer for its own request.
 #[test]
 fn concurrent_wire_predictions_match_the_unbatched_path() {
     const DIM: usize = 4;
-    // Every flush stalls a little, so rows that arrive meanwhile park
-    // behind it and coalesce into the next batch.
-    let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
-        .with(Fault::always(
-            sites::SERVE_BATCH_STALL,
-            FaultKind::StallMs(25),
-        ))
-        .install();
     let svc = random_service(83, 4, DIM);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let server = Server::start(
@@ -153,14 +143,13 @@ fn concurrent_wire_predictions_match_the_unbatched_path() {
         DIM,
         ServeConfig {
             workers: 12,
-            max_batch: 4,
             ..ServeConfig::default()
         },
     )
     .unwrap();
     let addr = server.local_addr();
 
-    // Three task-set groups; 0,1,3 / 3,1,0 / 1,3,0 coalesce into one queue.
+    // Three task-set groups; 0,1,3 / 3,1,0 / 1,3,0 share one cached model.
     let spellings = ["0,1,3", "3,1,0", "1,3,0", "2", "0,2"];
     let requests: Vec<String> = feature_rows(7, 12, DIM)
         .iter()
@@ -193,18 +182,6 @@ fn concurrent_wire_predictions_match_the_unbatched_path() {
         assert_eq!((gc, gt), (wc, wt), "{req}: {got} vs {want}");
         assert!((gp - wp).abs() <= 1e-4, "{req}: {got} vs {want}");
     }
-
-    // Every request went through the scheduler (the 12 extra rows from the
-    // unbatched reference calls above bypass it, so serve-side accounting
-    // sees exactly the wire traffic).
-    let reg = &svc.obs().registry;
-    let sizes = reg.histogram("serve.batch.size").snapshot();
-    assert!(sizes.count() >= 1, "no batch ever flushed");
-    let full = reg.counter("serve.batch.flush.full").get();
-    let ready = reg.counter("serve.batch.flush.ready").get();
-    assert_eq!(full + ready, sizes.count(), "flush causes must add up");
-    assert_eq!(reg.counter("serve.batch.aborted").get(), 0);
-    assert_eq!(reg.gauge("serve.batch.queue_depth").get(), 0.0);
 
     server.handle().shutdown();
     server.join().unwrap();

@@ -237,11 +237,11 @@ fn shutdown_drains_within_deadline_under_chaos() {
     assert!(TcpStream::connect(addr).is_err());
 }
 
-/// SHUTDOWN drains a half-full micro-batch queue even while chaos stalls
-/// the event loop: every parked PREDICT is answered exactly once (no
-/// losses, no duplicates) before the connections close.
+/// SHUTDOWN drains stalled, in-flight PREDICTs even while chaos stalls
+/// the event loop: every PREDICT is answered exactly once (no losses, no
+/// duplicates) before the connections close.
 #[test]
-fn shutdown_drains_half_full_batch_queue_under_chaos() {
+fn shutdown_drains_stalled_predicts_under_chaos() {
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
         .with(Fault {
             site: sites::NET_EPOLL_TICK_STALL.into(),
@@ -249,20 +249,18 @@ fn shutdown_drains_half_full_batch_queue_under_chaos() {
             prob: 0.5,
             max_hits: Some(8),
         })
-        // The first flush stalls, and the rows sent meanwhile park behind
-        // it; the drain waits for the flush that hands them on.
+        // The four PREDICTs stall on their workers, in flight; the drain
+        // must wait for their answers.
         .with(Fault::times(
-            sites::SERVE_BATCH_STALL,
+            sites::SERVE_WORKER_STALL,
             FaultKind::StallMs(2000),
-            1,
+            4,
         ))
         .install();
     let (server, svc, addr) = start(ServeConfig {
-        workers: 5,   // the stalled flush, three parked rows and SHUTDOWN
-        max_batch: 8, // queue stays half-full
+        workers: 5, // four stalled PREDICTs and SHUTDOWN
         ..ServeConfig::default()
     });
-    let depth = svc.obs().registry.gauge("serve.batch.queue_depth");
     let predict = move |i: usize| {
         let (mut w, mut r) = client(addr);
         let answer = ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"));
@@ -273,25 +271,16 @@ fn shutdown_drains_half_full_batch_queue_under_chaos() {
         let _ = r.read_line(&mut extra).unwrap_or(0);
         (answer, extra.trim_end().to_string())
     };
-    let stalls = poe_chaos::hits(sites::SERVE_BATCH_STALL);
-    let mut handles = vec![std::thread::spawn(move || predict(9))];
+    let stalls = poe_chaos::hits(sites::SERVE_WORKER_STALL);
+    let handles: Vec<_> = (0..4)
+        .map(|i| std::thread::spawn(move || predict(i)))
+        .collect();
     let begin = Instant::now();
-    while poe_chaos::hits(sites::SERVE_BATCH_STALL) == stalls {
+    while poe_chaos::hits(sites::SERVE_WORKER_STALL) < stalls + 4 {
         assert!(
             begin.elapsed() < Duration::from_secs(10),
-            "the leading flush never stalled"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    for i in 0..3 {
-        handles.push(std::thread::spawn(move || predict(i)));
-    }
-    let begin = Instant::now();
-    while depth.get() < 3.0 {
-        assert!(
-            begin.elapsed() < Duration::from_secs(10),
-            "requests never parked (depth {})",
-            depth.get()
+            "requests never stalled ({} of 4)",
+            poe_chaos::hits(sites::SERVE_WORKER_STALL) - stalls
         );
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -301,7 +290,7 @@ fn shutdown_drains_half_full_batch_queue_under_chaos() {
         let (answer, trailing) = h.join().unwrap();
         assert!(
             answer.starts_with("OK class="),
-            "parked request lost: {answer}"
+            "stalled request lost: {answer}"
         );
         assert!(
             trailing.is_empty() || trailing.starts_with("ERR shutting down"),
@@ -309,16 +298,10 @@ fn shutdown_drains_half_full_batch_queue_under_chaos() {
         );
     }
     server.join().unwrap();
+    // Each PREDICT ran its own one-row batch, once.
     let reg = &svc.obs().registry;
-    // The stalled flush, then the three parked rows as the batch it hands
-    // on inside the connection drain.
-    assert_eq!(reg.counter("serve.batch.flush.ready").get(), 2);
-    assert_eq!(reg.counter("serve.batch.flush.full").get(), 0);
-    let sizes = reg.histogram("serve.batch.size").snapshot();
-    assert_eq!(sizes.count(), 2);
-    assert_eq!(sizes.sum_n(), 4);
-    assert_eq!(reg.counter("serve.batch.aborted").get(), 0);
-    assert_eq!(depth.get(), 0.0);
+    assert_eq!(reg.counter("service.batch.calls").get(), 4);
+    assert_eq!(reg.counter("service.batch.rows").get(), 4);
 }
 
 /// Crash-during-save: a partial write followed by failure must leave the

@@ -11,11 +11,10 @@
 //!   [`poe_cli::serve::Server`]; a `DUMP` afterwards must parse line by
 //!   line, contain a start/end pair for every wire request, and `HEALTH`
 //!   must expose the recorder's dropped count.
-//! * **Post-mortem** — the ISSUE-5 acceptance scenario: a chaos plan
-//!   kills a batch mid-serve, and the JSONL dump the server leaves behind
-//!   must *explain* the crash — `chaos.inject` then `batch.abort` with
-//!   request ids that match the aborted requests' own `request.start`
-//!   events.
+//! * **Post-mortem** — a chaos plan kills a `PREDICT` mid-serve, and the
+//!   JSONL dump the server leaves behind must *explain* the crash —
+//!   `chaos.inject`, then a `request.panic` whose id matches the killed
+//!   request's own `request.start`, then `server.shutdown`.
 
 use poe_chaos::{sites, ChaosPlan, Fault, FaultKind};
 use poe_cli::serve::{ServeConfig, Server};
@@ -149,7 +148,6 @@ fn twelve_client_wire_traffic_dumps_cleanly() {
     let seq_floor = flight.recorded();
     let (server, _svc, addr) = start(ServeConfig {
         workers: 12,
-        max_batch: 4,
         recorder_dir: Some(dir.clone()),
         ..ServeConfig::default()
     });
@@ -240,65 +238,40 @@ fn twelve_client_wire_traffic_dumps_cleanly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The acceptance post-mortem: chaos kills a micro-batch mid-serve; the
-/// dump's final events must name the injection and the aborted batch,
-/// with request ids that match the victims' own `request.start` events.
+/// The post-mortem: chaos kills a `PREDICT` mid-serve; the dump's events
+/// must name the injection, then the panic of that very request (its id
+/// matches the `PREDICT`'s `request.start`), then the shutdown.
 #[test]
 fn kill_during_serve_leaves_a_dump_that_explains_the_crash() {
-    // The first flush stalls before it reaches the panic site; the
-    // panic then hits the next flush, a full batch of the two rows that
-    // parked behind the stalled one.
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())
-        .with(Fault::times(
-            sites::SERVE_BATCH_STALL,
-            FaultKind::StallMs(1000),
-            1,
-        ))
-        .with(Fault::times(sites::SERVE_BATCH_PANIC, FaultKind::Panic, 1))
+        .with(Fault::times(sites::SERVE_WORKER_PANIC, FaultKind::Panic, 1))
         .install();
     let dir = std::env::temp_dir().join("poe_flight_postmortem_test");
     std::fs::remove_dir_all(&dir).ok();
     let flight = FlightRecorder::global();
     let seq_floor = flight.recorded();
+    // One worker: the next PREDICT it answers proves the panic's recovery
+    // arm (which counts the panic) finished — the EOF below races it.
     let (server, svc, addr) = start(ServeConfig {
-        workers: 4,
-        max_batch: 2,
+        workers: 1,
         recorder_dir: Some(dir.clone()),
         ..ServeConfig::default()
     });
-    let predict = move |i: usize| {
-        let (mut w, mut r) = client(addr);
-        ask(&mut w, &mut r, &format!("PREDICT 0 : {i} 1 2 3"))
-    };
 
-    let stalls = poe_chaos::hits(sites::SERVE_BATCH_STALL);
-    let leader = std::thread::spawn(move || predict(9));
-    let begin = std::time::Instant::now();
-    while poe_chaos::hits(sites::SERVE_BATCH_STALL) == stalls {
-        assert!(
-            begin.elapsed() < Duration::from_secs(10),
-            "the leading flush never stalled"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // Two PREDICTs on the same task set fill the batch; the flush panics
-    // under the injected fault and both are answered `ERR batch aborted`.
-    let handles: Vec<_> = (0..2)
-        .map(|i| std::thread::spawn(move || predict(i)))
-        .collect();
-    let answers: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    for a in &answers {
-        assert_eq!(a, "ERR batch aborted", "{answers:?}");
-    }
-    // The stalled flush got past the panic site after the fault was spent.
-    let lead = leader.join().unwrap();
-    assert!(lead.starts_with("OK class="), "{lead}");
-    // One aborted batch (of two rows).
-    assert_eq!(svc.obs().registry.counter("serve.batch.aborted").get(), 1);
+    // The PREDICT dies under the injected panic: its connection closes
+    // without an answer (EOF, or RST with our line still unread).
+    let (mut w1, mut r1) = client(addr);
+    writeln!(w1, "PREDICT 0 : 9 1 2 3").unwrap();
+    let mut line = String::new();
+    assert_eq!(r1.read_line(&mut line).unwrap_or(0), 0, "got: {line:?}");
+    // The fault is spent: the same worker answers the next PREDICT.
+    let (mut w2, mut r2) = client(addr);
+    let next = ask(&mut w2, &mut r2, "PREDICT 0 : 1 1 2 3");
+    assert!(next.starts_with("OK class="), "{next}");
+    assert_eq!(svc.obs().registry.counter("serve.worker_panics").get(), 1);
 
     // SHUTDOWN persists the black box via `recorder_dir`.
-    let (mut w, mut r) = client(addr);
-    assert_eq!(ask(&mut w, &mut r, "SHUTDOWN"), "OK shutting down");
+    assert_eq!(ask(&mut w2, &mut r2, "SHUTDOWN"), "OK shutting down");
     server.join().unwrap();
 
     let dump = std::fs::read_dir(&dir)
@@ -314,48 +287,42 @@ fn kill_during_serve_leaves_a_dump_that_explains_the_crash() {
         .collect();
     let ours: Vec<&FlightEvent> = events.iter().filter(|e| e.seq >= seq_floor).collect();
 
-    // The story, in order: the injection fired, the batch aborted, and
-    // the abort names both victims.
-    assert!(
-        ours.iter()
-            .any(|e| { e.kind == "chaos.inject" && e.detail.contains(sites::SERVE_BATCH_PANIC) }),
-        "no chaos.inject event:\n{text}"
-    );
-    let abort = ours
+    // The story, in order: the injection fired, the request it hit
+    // panicked, and the server shut down.
+    let inject = ours
         .iter()
-        .find(|e| e.kind == "batch.abort")
-        .unwrap_or_else(|| panic!("no batch.abort event:\n{text}"));
-    assert!(abort.detail.contains("cause=panic"), "{}", abort.detail);
-    assert!(abort.detail.contains("size=2"), "{}", abort.detail);
-    let ids: Vec<u64> = abort
-        .detail
-        .split_whitespace()
-        .find_map(|f| f.strip_prefix("ids="))
-        .unwrap()
-        .split(',')
-        .map(|t| t.parse().unwrap())
-        .collect();
-    assert_eq!(ids.len(), 2, "{}", abort.detail);
-    for id in &ids {
-        assert!(
-            ours.iter().any(|e| {
-                e.kind == "request.start" && e.request_id == *id && e.detail == "verb=PREDICT"
-            }),
-            "aborted id {id} has no request.start:\n{text}"
-        );
-    }
-    // The drain leaves its own trail after the abort.
+        .find(|e| e.kind == "chaos.inject" && e.detail.contains(sites::SERVE_WORKER_PANIC))
+        .unwrap_or_else(|| panic!("no chaos.inject event:\n{text}"));
+    let panicked = ours
+        .iter()
+        .find(|e| e.kind == "request.panic")
+        .unwrap_or_else(|| panic!("no request.panic event:\n{text}"));
+    assert_eq!(panicked.detail, "verb=PREDICT", "{text}");
     assert!(
-        ours.iter().any(|e| e.kind == "server.shutdown"),
-        "no server.shutdown event:\n{text}"
+        ours.iter().any(|e| {
+            e.kind == "request.start"
+                && e.request_id == panicked.request_id
+                && e.detail == "verb=PREDICT"
+                && e.seq < inject.seq
+        }),
+        "panicked id {} has no earlier request.start:\n{text}",
+        panicked.request_id
+    );
+    let shutdown = ours
+        .iter()
+        .find(|e| e.kind == "server.shutdown")
+        .unwrap_or_else(|| panic!("no server.shutdown event:\n{text}"));
+    assert!(
+        inject.seq < panicked.seq && panicked.seq < shutdown.seq,
+        "events out of order:\n{text}"
     );
 
     export_artifact(&dump, "flight-dump-postmortem.jsonl");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A worker panic (connection-level, outside any batch) is pinned to the
-/// connection and the in-flight request in the ring.
+/// A worker panic is pinned to the connection and the in-flight request
+/// in the ring.
 #[test]
 fn worker_panic_is_recorded_with_its_connection() {
     let _guard = ChaosPlan::new(poe_chaos::seed_from_env())

@@ -81,17 +81,28 @@ fn temp_store(name: &str, num_tasks: usize) -> std::path::PathBuf {
 #[test]
 fn lazy_open_is_fast_at_catalog_scale() {
     let dir = temp_store("poe_lazy_startup", 2000);
+    // The first open of a just-written store also pays the host's first
+    // read of its files; the readiness budget holds for that cold open.
     let begin = Instant::now();
     let (pool, _) = load_standalone(&dir).unwrap();
-    let open = begin.elapsed();
+    let cold_open = begin.elapsed();
     assert!(pool.has_source());
     assert_eq!(pool.num_experts(), 2000);
     assert_eq!(pool.resident_experts(), 0, "open must not load experts");
-    assert!(open < Duration::from_millis(50), "lazy open took {open:?}");
+    assert!(
+        cold_open < Duration::from_millis(50),
+        "lazy open took {cold_open:?}"
+    );
+    drop(pool);
 
     // The deferred work is real: faulting in the whole catalog costs a
-    // healthy multiple of the open (this is the eager-startup cost the
-    // segment store avoids).
+    // healthy multiple of an open (this is the eager-startup cost the
+    // segment store avoids). The ratio is taken against a second open of
+    // the same store, so a slow first read of the files cannot hide it.
+    let begin = Instant::now();
+    let (pool, _) = load_standalone(&dir).unwrap();
+    let open = begin.elapsed();
+    assert_eq!(pool.resident_experts(), 0, "open must not load experts");
     let begin = Instant::now();
     for t in 0..2000 {
         pool.expert(t).unwrap();
